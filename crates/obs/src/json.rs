@@ -4,6 +4,14 @@
 //! The build environment is hermetic (no serde), so this is hand-rolled.
 //! Numbers are stored as `f64`; integers up to 2^53 round-trip exactly,
 //! which covers every counter/timestamp the tracer produces in practice.
+//!
+//! The parser also reads untrusted input (HTTP request bodies, artifact
+//! metadata), so it runs in time linear in the input and nests at most
+//! [`MAX_DEPTH`] arrays/objects deep.
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so this bounds its stack use on hostile input.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Object keys keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,11 +149,12 @@ impl Json {
         }
     }
 
-    /// Parses one JSON document (surrounding whitespace allowed).
+    /// Parses one JSON document (surrounding whitespace allowed). Fails on
+    /// malformed input and on nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(text, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -205,14 +214,22 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `*pos`; `depth` counts the arrays/objects around it.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of JSON input".to_string()),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -222,7 +239,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -244,10 +261,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -278,52 +295,64 @@ fn parse_literal(
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Parses the string literal at `*pos` in one pass over its bytes.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty by match");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // Copy the run up to the next quote or backslash in one step. Both
+        // are ASCII, as is everything an escape consumes, so the run starts
+        // and ends on char boundaries of `text`.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or("unterminated string")?;
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run + 1;
+        if bytes[*pos - 1] == b'"' {
+            return Ok(out);
         }
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let mut code = parse_hex4(bytes, *pos + 1)?;
+                *pos += 4;
+                // A high surrogate followed by an escaped low surrogate is
+                // one non-BMP char (how UTF-16-minded writers escape it).
+                if (0xD800..0xDC00).contains(&code) && bytes.get(*pos + 1..*pos + 3) == Some(b"\\u")
+                {
+                    let low = parse_hex4(bytes, *pos + 3)?;
+                    if (0xDC00..0xE000).contains(&low) {
+                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        *pos += 6;
+                    }
+                }
+                // A lone surrogate is no char at all.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            _ => return Err(format!("bad escape at byte {}", *pos)),
+        }
+        *pos += 1;
     }
+}
+
+/// The four hex digits of a `\u` escape starting at byte `at`.
+fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let digits = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+    digits.iter().try_fold(0, |code, &b| {
+        char::from(b)
+            .to_digit(16)
+            .map(|d| code << 4 | d)
+            .ok_or_else(|| format!("bad \\u escape digit at byte {at}"))
+    })
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -414,5 +443,86 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn escape_vectors() {
+        // `%` stands for the two characters of a `\u` escape below.
+        let cases: &[(&str, &str)] = &[
+            (r#""\"\\\/\b\f\n\r\t""#, "\"\\/\u{8}\u{c}\n\r\t"),
+            (r#""%0041%00e9%20AC""#, "A\u{e9}\u{20ac}"),
+            // Non-BMP chars escaped as UTF-16 surrogate pairs, the way
+            // Python's `json.dumps` writes them.
+            (r#""%D83D%DE00 %d834%dd1e""#, "\u{1f600} \u{1d11e}"),
+            // A lone surrogate decodes to U+FFFD; what follows it still
+            // parses on its own.
+            (r#""%D83Dx""#, "\u{fffd}x"),
+            (r#""%DE00""#, "\u{fffd}"),
+            (r#""%D83D%0041""#, "\u{fffd}A"),
+            (r#""%D83D%D83D%DE00""#, "\u{fffd}\u{1f600}"),
+            // Raw multi-byte UTF-8 next to escapes and delimiters.
+            (r#""é\"😀\\ü""#, "é\"😀\\ü"),
+        ];
+        for (json, want) in cases {
+            let json = &json.replace('%', "\\u");
+            assert_eq!(
+                Json::parse(json).unwrap_or_else(|e| panic!("{json}: {e}")),
+                Json::Str((*want).to_string()),
+                "{json}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_bad_escapes() {
+        for json in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u00g1""#,
+            r#""\u00é""#,
+            r#""\u004""#,
+            r#""\uD83D\u+E00""#,
+            r#""\x41""#,
+            r#""\"#,
+            r#""abc"#,
+        ] {
+            assert!(Json::parse(json).is_err(), "{json} must be rejected");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(Json::parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested("[", "]", MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&nested("{\"a\":", "}", MAX_DEPTH + 1)).is_err());
+        // Far past the cap, well beyond what recursion without it would
+        // survive on a small thread stack: an error, not an overflow.
+        assert!(Json::parse(&"[".repeat(1 << 20)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(1 << 18)).is_err());
+        assert!(Json::parse(&"[{\"a\":".repeat(1 << 18)).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1 MiB of mixed ASCII, multi-byte UTF-8 and escapes. A parser that
+        // rescans the rest of the input per char needs tens of seconds.
+        let unit = "base64+/= é€😀 \"quoted\" back\\slash\n";
+        let text: String = unit.repeat((1 << 20) / unit.len() + 1);
+        let doc = obj(vec![("image_b64", Json::Str(text))]);
+        let json = doc.to_json();
+        assert!(json.len() > 1 << 20);
+        let start = std::time::Instant::now();
+        let back = Json::parse(&json).expect("parses");
+        let elapsed = start.elapsed();
+        assert_eq!(back, doc);
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "parsing a 1 MiB string took {elapsed:?}"
+        );
     }
 }

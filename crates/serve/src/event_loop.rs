@@ -607,12 +607,8 @@ impl EventLoop {
                 }
                 Err(e) => {
                     let bytes = server::http_error_response(&e);
-                    if bytes.is_empty() {
-                        conn.broken = true;
-                    } else {
-                        conn.write_buf.extend_from_slice(&bytes);
-                        conn.close_after_write = true;
-                    }
+                    conn.write_buf.extend_from_slice(&bytes);
+                    conn.close_after_write = true;
                     break;
                 }
             }

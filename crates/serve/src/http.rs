@@ -1,11 +1,12 @@
-//! Minimal HTTP/1.1 message framing over any `BufRead`/`Write` pair.
+//! Minimal HTTP/1.1 message framing: requests parsed out of the event
+//! loop's in-memory read buffers, responses written to any `Write`.
 //!
 //! Supports exactly what the inference endpoints need: request-line +
 //! headers + `Content-Length` bodies, keep-alive, and fixed-length
 //! responses. Chunked transfer encoding is rejected with `411 Length
 //! Required` semantics (the caller maps [`HttpError::NeedsLength`]).
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Upper bound on a single header line (and the request line).
 const MAX_LINE: usize = 8 * 1024;
@@ -44,130 +45,15 @@ impl Request {
     }
 }
 
-/// Error while reading a request.
+/// Error while parsing a request.
 #[derive(Debug)]
 pub enum HttpError {
-    /// Socket failure or timeout — close the connection silently.
-    Io(io::Error),
     /// The bytes are not valid HTTP — answer 400 and close.
     Bad(String),
     /// A body was sent without `Content-Length` — answer 411 and close.
     NeedsLength,
     /// The declared body exceeds the server's limit — answer 413 and close.
     BodyTooLarge { limit: usize },
-}
-
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        HttpError::Io(e)
-    }
-}
-
-fn read_line<R: BufRead>(reader: &mut R) -> Result<Option<String>, HttpError> {
-    let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(None);
-                }
-                return Err(HttpError::Bad("connection closed mid-line".into()));
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return Ok(Some(
-                        String::from_utf8(line)
-                            .map_err(|_| HttpError::Bad("non-UTF-8 header data".into()))?,
-                    ));
-                }
-                line.push(byte[0]);
-                if line.len() > MAX_LINE {
-                    return Err(HttpError::Bad(format!(
-                        "header line exceeds {MAX_LINE} bytes"
-                    )));
-                }
-            }
-            Err(e) => return Err(HttpError::Io(e)),
-        }
-    }
-}
-
-/// Reads one request. `Ok(None)` means the client closed the connection
-/// cleanly before sending another request (normal keep-alive end).
-///
-/// # Errors
-///
-/// See [`HttpError`] for the caller's response obligations.
-pub fn read_request<R: BufRead>(
-    reader: &mut R,
-    max_body: usize,
-) -> Result<Option<Request>, HttpError> {
-    let request_line = match read_line(reader)? {
-        None => return Ok(None),
-        Some(line) if line.is_empty() => {
-            // Tolerate a stray CRLF between pipelined requests.
-            match read_line(reader)? {
-                None => return Ok(None),
-                Some(line) => line,
-            }
-        }
-        Some(line) => line,
-    };
-    let mut parts = request_line.split(' ');
-    let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v), None) if !m.is_empty() && p.starts_with('/') => (m, p, v),
-        _ => {
-            return Err(HttpError::Bad(format!(
-                "malformed request line {request_line:?}"
-            )))
-        }
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::Bad(format!("unsupported version {version:?}")));
-    }
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(reader)?
-            .ok_or_else(|| HttpError::Bad("connection closed inside headers".into()))?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(HttpError::Bad(format!("more than {MAX_HEADERS} headers")));
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::Bad(format!("malformed header {line:?}")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-    let mut request = Request {
-        method: method.to_ascii_uppercase(),
-        path: path.to_string(),
-        headers,
-        body: Vec::new(),
-    };
-    if request
-        .header("transfer-encoding")
-        .is_some_and(|v| !v.eq_ignore_ascii_case("identity"))
-    {
-        return Err(HttpError::NeedsLength);
-    }
-    if let Some(len) = request.header("content-length") {
-        let len: usize = len
-            .parse()
-            .map_err(|_| HttpError::Bad(format!("bad content-length {len:?}")))?;
-        if len > max_body {
-            return Err(HttpError::BodyTooLarge { limit: max_body });
-        }
-        let mut body = vec![0u8; len];
-        reader.read_exact(&mut body)?;
-        request.body = body;
-    }
-    Ok(Some(request))
 }
 
 /// Pulls one complete line (up to `\n`, CRLF-trimmed) out of `buf`
@@ -198,17 +84,16 @@ fn try_take_line<'a>(buf: &'a [u8], pos: &mut usize) -> Result<Option<&'a str>, 
     }
 }
 
-/// Non-blocking counterpart of [`read_request`]: parses one request out of
-/// an in-memory byte buffer. Returns `Ok(Some((request, consumed)))` when a
-/// complete request (head and body) is present, `Ok(None)` when the buffer
-/// holds only a prefix of a request and more bytes must arrive first.
+/// Parses one request out of an in-memory byte buffer without blocking.
+/// Returns `Ok(Some((request, consumed)))` when a complete request (head
+/// and body) is present, `Ok(None)` when the buffer holds only a prefix of
+/// a request and more bytes must arrive first.
 ///
-/// Semantics match [`read_request`]: one stray empty line before the
-/// request line is tolerated, header names are lower-cased, chunked bodies
-/// are refused with [`HttpError::NeedsLength`], and a declared
-/// `Content-Length` beyond `max_body` fails with
-/// [`HttpError::BodyTooLarge`] as soon as the head is complete — before
-/// the body ever arrives.
+/// One stray empty line before the request line is tolerated, header names
+/// are lower-cased, chunked bodies are refused with
+/// [`HttpError::NeedsLength`], and a declared `Content-Length` beyond
+/// `max_body` fails with [`HttpError::BodyTooLarge`] as soon as the head
+/// is complete — before the body ever arrives.
 ///
 /// # Errors
 ///
@@ -336,10 +221,15 @@ pub fn write_response_with_headers<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// Parses `raw` as at most one request, which must use every byte.
     fn parse(raw: &str) -> Result<Option<Request>, HttpError> {
-        read_request(&mut BufReader::new(raw.as_bytes()), 1 << 20)
+        Ok(
+            try_parse_request(raw.as_bytes(), 1 << 20)?.map(|(req, consumed)| {
+                assert_eq!(consumed, raw.len(), "bytes left over in {raw:?}");
+                req
+            }),
+        )
     }
 
     #[test]
@@ -378,23 +268,6 @@ mod tests {
     fn chunked_needs_length() {
         let raw = "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
         assert!(matches!(parse(raw), Err(HttpError::NeedsLength)));
-    }
-
-    #[test]
-    fn oversized_body_rejected() {
-        let raw = "POST /x HTTP/1.1\r\nContent-Length: 100\r\n\r\n";
-        let err = read_request(&mut BufReader::new(raw.as_bytes()), 10).unwrap_err();
-        assert!(matches!(err, HttpError::BodyTooLarge { limit: 10 }));
-    }
-
-    #[test]
-    fn two_pipelined_requests_parse_in_sequence() {
-        let raw = "GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
-        let mut reader = BufReader::new(raw.as_bytes());
-        let a = read_request(&mut reader, 1024).unwrap().unwrap();
-        let b = read_request(&mut reader, 1024).unwrap().unwrap();
-        assert_eq!((a.path.as_str(), b.path.as_str()), ("/a", "/b"));
-        assert!(read_request(&mut reader, 1024).unwrap().is_none());
     }
 
     #[test]

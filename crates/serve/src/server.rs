@@ -488,10 +488,10 @@ pub(crate) fn shutting_down_response() -> Vec<u8> {
     )
 }
 
-/// Maps a request-parse error to its response bytes (empty ⇒ just close).
+/// Maps a request-parse error to its response bytes (the connection
+/// closes after them).
 pub(crate) fn http_error_response(err: &HttpError) -> Vec<u8> {
     match err {
-        HttpError::Io(_) => Vec::new(),
         HttpError::Bad(msg) => {
             metrics::counter_add(names::SERVE_BAD_REQUESTS, 1);
             json_bytes(400, "Bad Request", &error_json(msg), false)
@@ -904,11 +904,16 @@ fn classify_dispatch(
     let req_start_us = trace::now_us();
     let sampled = ctx.sampler.sample();
     let meta = ctx.slot.meta();
+    let parse_start = Instant::now();
     let parsed = parse_body(&request.body).and_then(|json| {
         let tier = parse_tier(&json, ctx.cfg.default_tier)?;
         let input = parse_image(&json, meta.input_len())?;
         Ok((tier, input))
     });
+    metrics::latency_record_us(
+        names::SERVE_PARSE_US,
+        parse_start.elapsed().as_micros() as u64,
+    );
     let (tier, input) = match parsed {
         Ok(parsed) => parsed,
         Err(msg) => {

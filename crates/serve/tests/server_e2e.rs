@@ -1,7 +1,7 @@
 //! End-to-end server tests: map a tiny model to crossbars, persist it as
 //! an `XBARMDL1` artifact, serve it, and drive it over real sockets.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -29,6 +29,20 @@ fn tiny_model() -> Sequential {
     ])
 }
 
+/// A fresh temp directory for one artifact. Tests run in parallel and
+/// several share a tag, so the name carries the pid and a per-call counter:
+/// no test can remove another's directory mid-save.
+fn unique_temp_dir(tag: &str) -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "xbar_serve_e2e_{}_{}_{tag}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
 /// Maps the tiny model and returns (mapped model, meta) via a real
 /// artifact file round-trip, exactly like production serving.
 fn mapped_via_artifact(tag: &str) -> (Sequential, ArtifactMeta) {
@@ -42,8 +56,7 @@ fn mapped_via_artifact(tag: &str) -> (Sequential, ArtifactMeta) {
     let (mut noisy, report) = map_to_crossbars(&model, &cfg).expect("mapping succeeds");
     let mut meta = ArtifactMeta::from_mapping("e2e tiny model", &cfg, &report);
     meta.input_shape = INPUT_SHAPE.to_vec();
-    let dir = std::env::temp_dir().join(format!("xbar_serve_e2e_{}_{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = unique_temp_dir(tag);
     let path = dir.join("model.xbarmdl");
     save_artifact_to_file(&mut noisy, &meta, &path).expect("save artifact");
     let loaded = load_artifact_from_file(&path).expect("load artifact");
@@ -146,10 +159,33 @@ fn classify_healthz_metrics_and_graceful_shutdown() {
     assert!(text.contains("serve_classify_ok"), "{text}");
     assert!(text.contains("serve_http_requests"), "{text}");
     assert!(text.contains("serve_batch_size_bucket"), "{text}");
+    assert!(text.contains("serve_parse_us_bucket"), "{text}");
 
     // graceful shutdown via the admin endpoint.
     let stop = client.post_json("/admin/shutdown", "{}").expect("shutdown");
     assert_eq!(stop.status, 200);
+    server.run_until_shutdown();
+}
+
+#[test]
+fn deeply_nested_body_is_a_400_and_the_server_survives() {
+    // 1 MiB of `[` is far under max_body. Without the parser's depth cap
+    // it recursed once per byte and overflowed the event-loop thread.
+    let (server, addr) = start_server(ServeConfig::default());
+    let mut client = connect(&addr);
+    let deep = "[".repeat(1 << 20);
+    let resp = client.post_json("/v1/classify", &deep).expect("classify");
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(resp.text().contains("nesting"), "{}", resp.text());
+    let health = client.get("/healthz").expect("healthz after the deep body");
+    assert_eq!(health.status, 200, "{}", health.text());
+    let ok = client
+        .post_json("/v1/classify", &image_json(1))
+        .expect("classify after the deep body");
+    assert_eq!(ok.status, 200, "{}", ok.text());
+    server
+        .shutdown_handle()
+        .store(true, std::sync::atomic::Ordering::SeqCst);
     server.run_until_shutdown();
 }
 
@@ -241,8 +277,7 @@ fn faulted_repaired_model_serves_degraded_but_alive() {
     assert!(meta.is_degraded(), "threshold 1e-9 must flag tiles");
 
     // Full artifact round-trip, like production.
-    let dir = std::env::temp_dir().join(format!("xbar_serve_e2e_{}_faulted", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = unique_temp_dir("faulted");
     let path = dir.join("model.xbarmdl");
     save_artifact_to_file(&mut noisy, &meta, &path).expect("save artifact");
     let (model, meta) = load_artifact_from_file(&path).expect("load artifact");
@@ -473,8 +508,7 @@ fn tiered_bundle_via_artifact(tag: &str) -> ArtifactBundle {
         surrogate_model: Some(noisy),
         surrogate_net: Some(build_from_spec(&arch)),
     };
-    let dir = std::env::temp_dir().join(format!("xbar_serve_e2e_{}_{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = unique_temp_dir(tag);
     let path = dir.join("model.xbarmdl");
     xbar_core::save_artifact_bundle_to_file(&mut bundle, &path).expect("save bundle");
     let loaded = xbar_core::load_artifact_bundle_from_file(&path).expect("load bundle");
@@ -644,8 +678,7 @@ fn saved_artifact(tag: &str, label: &str) -> (std::path::PathBuf, String) {
     let (mut noisy, report) = map_to_crossbars(&model, &cfg).expect("mapping succeeds");
     let mut meta = ArtifactMeta::from_mapping(label, &cfg, &report);
     meta.input_shape = INPUT_SHAPE.to_vec();
-    let dir = std::env::temp_dir().join(format!("xbar_serve_e2e_{}_{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = unique_temp_dir(tag);
     let path = dir.join("model.xbarmdl");
     save_artifact_to_file(&mut noisy, &meta, &path).expect("save artifact");
     (dir, path.to_string_lossy().into_owned())

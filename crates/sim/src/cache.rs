@@ -82,10 +82,33 @@ fn entry_f64s(nodes: &NodeVoltages) -> usize {
     nodes.vr.len() + nodes.vc.len() + ENTRY_OVERHEAD_F64S
 }
 
+#[derive(Default)]
 struct Store {
     entries: HashMap<u128, CachedSolve>,
     order: VecDeque<u128>,
     held_f64s: usize,
+}
+
+impl Store {
+    /// Adds an entry unless its key is already present, evicting the
+    /// oldest entries first until the charged volume fits the bound.
+    fn insert(&mut self, key: u128, nodes: NodeVoltages, fallback: bool) {
+        let size = entry_f64s(&nodes);
+        if size > MAX_CACHED_F64S || self.entries.contains_key(&key) {
+            return;
+        }
+        while self.held_f64s + size > MAX_CACHED_F64S {
+            let Some(oldest) = self.order.pop_front() else {
+                break;
+            };
+            if let Some(evicted) = self.entries.remove(&oldest) {
+                self.held_f64s -= entry_f64s(&evicted.nodes);
+            }
+        }
+        self.held_f64s += size;
+        self.order.push_back(key);
+        self.entries.insert(key, CachedSolve { nodes, fallback });
+    }
 }
 
 /// A memoised array solve: the node voltages of the cold solve that
@@ -215,38 +238,10 @@ pub(crate) fn lookup(key: u128) -> Option<CachedSolve> {
 }
 
 pub(crate) fn insert(key: u128, nodes: NodeVoltages, fallback: bool) {
-    let size = entry_f64s(&nodes);
-    if size > MAX_CACHED_F64S {
-        return;
-    }
     let mut guard = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    let store = guard.get_or_insert_with(|| Store {
-        entries: HashMap::new(),
-        order: VecDeque::new(),
-        held_f64s: 0,
-    });
-    if store.entries.contains_key(&key) {
-        return;
-    }
-    while store.held_f64s + size > MAX_CACHED_F64S {
-        let Some(oldest) = store.order.pop_front() else {
-            break;
-        };
-        if let Some(evicted) = store.entries.remove(&oldest) {
-            store.held_f64s -= entry_f64s(&evicted.nodes);
-        }
-    }
-    store.held_f64s += size;
-    store.order.push_back(key);
-    store.entries.insert(key, CachedSolve { nodes, fallback });
-}
-
-/// Charged cache volume in f64-equivalents (payload + per-entry overhead);
-/// test hook for the eviction bound.
-#[cfg(test)]
-fn solve_cache_held_f64s() -> usize {
-    let guard = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    guard.as_ref().map_or(0, |s| s.held_f64s)
+    guard
+        .get_or_insert_with(Store::default)
+        .insert(key, nodes, fallback);
 }
 
 #[cfg(test)]
@@ -302,40 +297,50 @@ mod tests {
 
     #[test]
     fn eviction_keeps_volume_bounded() {
-        clear_solve_cache();
+        // A private store: the process-global one is shared with every
+        // test that maps tiles in parallel with this one.
         let nodes = |k: u64, len: usize| NodeVoltages {
             vr: vec![k as f64; len],
             vc: vec![k as f64; len],
             stats: Default::default(),
         };
+        // Accounting stays exact through eviction churn.
+        let charged = |store: &Store| {
+            store
+                .entries
+                .values()
+                .map(|e| entry_f64s(&e.nodes))
+                .sum::<usize>()
+        };
         // Exactly-half-payload entries: with the per-entry overhead charged,
         // two of them exceed the budget — the original accounting (payload
         // only) would have kept both and quietly overshot the bound.
+        let mut store = Store::default();
         for k in 0..5u64 {
-            insert(u128::from(k), nodes(k, MAX_CACHED_F64S / 4), false);
+            store.insert(u128::from(k), nodes(k, MAX_CACHED_F64S / 4), false);
         }
         assert_eq!(
-            solve_cache_len(),
+            store.entries.len(),
             1,
             "overhead must count against the bound"
         );
-        assert!(lookup(0).is_none(), "oldest entries must be evicted");
-        assert!(lookup(4).is_some());
-        assert!(solve_cache_held_f64s() <= MAX_CACHED_F64S);
+        assert!(
+            !store.entries.contains_key(&0),
+            "oldest entries must be evicted"
+        );
+        assert!(store.entries.contains_key(&4));
+        assert!(store.held_f64s <= MAX_CACHED_F64S);
+        assert_eq!(store.held_f64s, charged(&store));
         // Entries that leave room for the overhead: two fit at a time.
-        clear_solve_cache();
+        let mut store = Store::default();
         let len = MAX_CACHED_F64S / 4 - ENTRY_OVERHEAD_F64S;
         for k in 0..5u64 {
-            insert(u128::from(k), nodes(k, len), false);
+            store.insert(u128::from(k), nodes(k, len), false);
         }
-        assert_eq!(solve_cache_len(), 2);
-        assert!(lookup(3).is_some() && lookup(4).is_some());
-        assert!(solve_cache_held_f64s() <= MAX_CACHED_F64S);
-        // Accounting stays exact through eviction churn: an empty cache
-        // holds zero charged volume again.
-        clear_solve_cache();
-        assert_eq!(solve_cache_len(), 0);
-        assert_eq!(solve_cache_held_f64s(), 0);
+        assert_eq!(store.entries.len(), 2);
+        assert!(store.entries.contains_key(&3) && store.entries.contains_key(&4));
+        assert!(store.held_f64s <= MAX_CACHED_F64S);
+        assert_eq!(store.held_f64s, charged(&store));
     }
 
     #[test]
