@@ -308,7 +308,7 @@ impl<T> Strategy for Union<T> {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Size spec for [`vec`]: an exact length or a half-open range.
+    /// Size spec for [`vec()`]: an exact length or a half-open range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

@@ -1,7 +1,6 @@
 //! Ablation artifacts on the design choices `DESIGN.md` calls out, plus the
 //! extension studies (BN recalibration, robustness, G'-folding fidelity).
-//! Moved out of the standalone `ablation` binary so the suite orchestrator
-//! can run each study as its own artifact.
+//! The suite orchestrator runs each study as its own artifact.
 
 use super::{ArtifactCtx, ArtifactOutput};
 use crate::report::{pct, Table};

@@ -1,7 +1,7 @@
 //! Figure-shaped artifacts: the paper's **Fig. 3** accuracy/NF panels, the
 //! **Fig. 3(f)** weight heatmaps, and the **Fig. 4** mitigation panels
-//! (R transformation and WCT). Moved out of the standalone binaries so the
-//! suite orchestrator can run them as library calls, one panel per artifact.
+//! (R transformation and WCT), run by the suite orchestrator as library
+//! calls, one panel per artifact.
 
 use super::{ArtifactCtx, ArtifactOutput};
 use crate::report::{pct, results_dir, Table};

@@ -1,10 +1,8 @@
 //! Every table/figure/ablation of the reproduction as a library function.
 //!
-//! Historically each artifact lived in its own binary under `src/bin/`,
-//! invoked by hand; the artifact-generation logic now lives here so that
-//! (a) the thin binaries keep working for one-off regeneration and
-//! (b) the [`crate::suite`] orchestrator can enumerate, deduplicate and run
-//! all of them behind one entry point.
+//! The [`crate::suite`] orchestrator enumerates, deduplicates and runs all
+//! of them behind one entry point; `suite --only <artifact>` regenerates
+//! one.
 //!
 //! Each artifact is described by an [`ArtifactSpec`]:
 //!
@@ -23,7 +21,6 @@ pub mod ablations;
 pub mod drift;
 pub mod figures;
 pub mod perfmap;
-pub mod profile;
 pub mod serveperf;
 pub mod solveperf;
 pub mod surrogate;
@@ -195,44 +192,12 @@ fig_panel!(
     "f"
 );
 
-fn run_fault_sweep(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
-    tables::fault_sweep(ctx, tables::FAULT_SWEEP_SIZE)
-}
-
-fn run_inventory(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
-    tables::inventory(ctx, 32, xbar_prune::PruneMethod::ChannelFilter)
-}
-
 fn run_map(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     perfmap::map_artifact(ctx, &perfmap::MapArtifactOptions::default())
 }
 
 fn scen_map(ctx: &ArtifactCtx) -> Vec<Scenario> {
     perfmap::map_artifact_scenarios(ctx, &perfmap::MapArtifactOptions::default())
-}
-
-fn run_perf(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
-    perfmap::perf(ctx, 32)
-}
-
-fn run_solve(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
-    solveperf::solve_bench(
-        ctx,
-        solveperf::SOLVE_BENCH_SIZE,
-        solveperf::SOLVE_BENCH_BATCH,
-    )
-}
-
-fn run_serve(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
-    serveperf::serve_bench(
-        ctx,
-        serveperf::SERVE_BENCH_CONNECTIONS,
-        serveperf::SERVE_BENCH_REQUESTS,
-    )
-}
-
-fn run_surrogate(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
-    surrogate::surrogate_accuracy(ctx, surrogate::SURROGATE_SIZE)
 }
 
 /// Every artifact the suite regenerates, in a stable order: the paper's
@@ -334,14 +299,14 @@ pub fn registry() -> Vec<ArtifactSpec> {
             name: "inventory",
             paper_ref: "layer inventory (ours)",
             exclusive: false,
-            run: run_inventory,
+            run: tables::inventory,
             scenarios: tables::inventory_scenarios,
         },
         ArtifactSpec {
             name: "fault_sweep",
             paper_ref: "fault sweep (ours)",
             exclusive: false,
-            run: run_fault_sweep,
+            run: tables::fault_sweep,
             scenarios: tables::fault_sweep_scenarios,
         },
         ArtifactSpec {
@@ -397,28 +362,28 @@ pub fn registry() -> Vec<ArtifactSpec> {
             name: "perf",
             paper_ref: "solver-performance bench (ours)",
             exclusive: true,
-            run: run_perf,
+            run: perfmap::perf,
             scenarios: no_scenarios,
         },
         ArtifactSpec {
             name: "solve",
             paper_ref: "batched-solve bench (ours)",
             exclusive: true,
-            run: run_solve,
+            run: solveperf::solve_bench,
             scenarios: no_scenarios,
         },
         ArtifactSpec {
             name: "serve",
             paper_ref: "serving throughput bench (ours)",
             exclusive: true,
-            run: run_serve,
+            run: serveperf::serve_bench,
             scenarios: no_scenarios,
         },
         ArtifactSpec {
             name: "surrogate",
             paper_ref: "surrogate fidelity & speedup (ours)",
             exclusive: true,
-            run: run_surrogate,
+            run: surrogate::surrogate_accuracy,
             scenarios: surrogate::surrogate_scenarios,
         },
         ArtifactSpec {
@@ -427,13 +392,6 @@ pub fn registry() -> Vec<ArtifactSpec> {
             exclusive: true,
             run: drift::drift_sweep,
             scenarios: drift::drift_scenarios,
-        },
-        ArtifactSpec {
-            name: "profile",
-            paper_ref: "suite time profile (ours)",
-            exclusive: true,
-            run: profile::profile,
-            scenarios: profile::profile_scenarios,
         },
     ]
 }

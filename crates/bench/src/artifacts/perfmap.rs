@@ -1,7 +1,6 @@
 //! The solver-performance benchmark (`results/BENCH_map.json`) and the
-//! serving-artifact build (`results/model.xbarmdl`), moved out of the `perf`
-//! and `map` binaries so the suite orchestrator can run them as library
-//! calls.
+//! serving-artifact build (`results/model.xbarmdl`), shared by the suite
+//! orchestrator and the `map` binary.
 
 use super::{ArtifactCtx, ArtifactOutput};
 use crate::report::{pct, results_dir, Table};
@@ -22,6 +21,9 @@ use xbar_obs::names;
 use xbar_prune::PruneMethod;
 use xbar_sim::params::CrossbarParams;
 use xbar_sim::CacheMode;
+
+/// Crossbar size the solver-performance benchmark maps onto.
+const PERF_SIZE: usize = 32;
 
 /// What the serving-artifact build maps and where it writes the artifact.
 #[derive(Debug, Clone)]
@@ -151,7 +153,8 @@ fn bits_equal(a: &[f32], b: &[f32]) -> bool {
 }
 
 /// Solver-performance benchmark: cold vs warm-started vs cached mapping of a
-/// width-scaled VGG11, written to `results/BENCH_map.json`.
+/// width-scaled VGG11 on `PERF_SIZE` crossbars, written to
+/// `results/BENCH_map.json`.
 ///
 /// Toggles the process-global solve-cache mode, so it must not share the
 /// process with concurrent mapping work — the registry marks it `exclusive`.
@@ -165,8 +168,9 @@ fn bits_equal(a: &[f32], b: &[f32]) -> bool {
 /// to a from-scratch solve, and its relative margin legitimately shrank as
 /// the from-scratch path got faster; at smoke scale fixed mapping overhead
 /// dominates and the margin is thinnest.)
-pub fn perf(ctx: &ArtifactCtx, size: usize) -> Result<ArtifactOutput, String> {
+pub fn perf(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     let mut out = ArtifactOutput::default();
+    let size = PERF_SIZE;
     let width = ctx.scale.width;
     let seed = ctx.seed;
 

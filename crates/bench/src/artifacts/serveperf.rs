@@ -144,9 +144,9 @@ fn probe_scores(addr: &str) -> Result<Vec<Vec<u64>>, String> {
         .collect()
 }
 
-/// Open-loop serving benchmark at `connections` connections ×
-/// `requests` requests, written to `results/BENCH_serve.json` (plus the
-/// latency histogram as `results/serve_hist.jsonl`).
+/// Open-loop serving benchmark at [`SERVE_BENCH_CONNECTIONS`] connections ×
+/// [`SERVE_BENCH_REQUESTS`] requests, written to `results/BENCH_serve.json`
+/// (plus the latency histogram as `results/serve_hist.jsonl`).
 ///
 /// Timing-sensitive: the registry marks it `exclusive` so it never
 /// shares the machine with concurrent artifact workers.
@@ -156,12 +156,9 @@ fn probe_scores(addr: &str) -> Result<Vec<Vec<u64>>, String> {
 /// Fails if the replica pool loses bit-identity against the single
 /// instance, if nothing was served, or if any request was dropped with a
 /// real error (429/503 overload is shed, not dropped).
-pub fn serve_bench(
-    ctx: &ArtifactCtx,
-    connections: usize,
-    requests: usize,
-) -> Result<ArtifactOutput, String> {
+pub fn serve_bench(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     let mut out = ArtifactOutput::default();
+    let (connections, requests) = (SERVE_BENCH_CONNECTIONS, SERVE_BENCH_REQUESTS);
     let dir = std::env::temp_dir().join(format!("xbar_serve_bench_{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("create temp dir: {e}"))?;
     let artifact = dir.join("model.xbarmdl");

@@ -68,8 +68,9 @@ fn bits_equal(a: &[Vec<f64>], b: &[Vec<f64>]) -> bool {
         })
 }
 
-/// Cold-solve throughput benchmark at `size`×`size` with `batch` input
-/// vectors, written to `results/BENCH_solve.json`.
+/// Cold-solve throughput benchmark at [`SOLVE_BENCH_SIZE`] with
+/// [`SOLVE_BENCH_BATCH`] input vectors, written to
+/// `results/BENCH_solve.json`.
 ///
 /// Timing-sensitive: the registry marks it `exclusive` so it never shares
 /// the machine with concurrent artifact workers.
@@ -78,8 +79,9 @@ fn bits_equal(a: &[Vec<f64>], b: &[Vec<f64>]) -> bool {
 ///
 /// Fails if the batched currents diverge bitwise from the scalar oracle's
 /// or the batched speedup falls below [`SOLVE_SPEEDUP_FLOOR`].
-pub fn solve_bench(ctx: &ArtifactCtx, size: usize, batch: usize) -> Result<ArtifactOutput, String> {
+pub fn solve_bench(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     let mut out = ArtifactOutput::default();
+    let (size, batch) = (SOLVE_BENCH_SIZE, SOLVE_BENCH_BATCH);
     let mut params = CrossbarParams::with_size(size);
     params.sigma_variation = 0.0; // the matrix itself carries the spread
     params

@@ -79,15 +79,17 @@ fn trained_surrogate(params: CrossbarParams) -> Result<(Surrogate, f64), String>
     Ok((s, start.elapsed().as_secs_f64()))
 }
 
-/// The surrogate-accuracy table plus the gated tile-eval micro-benchmark.
+/// The surrogate-accuracy table at [`SURROGATE_SIZE`] plus the gated
+/// tile-eval micro-benchmark.
 ///
 /// # Errors
 ///
 /// Fails on pipeline errors, or when the micro-benchmark's speedup at
 /// [`GATE_SIZE`] falls below [`SPEEDUP_FLOOR`] (after writing
 /// `BENCH_surrogate.json`, so the numbers are inspectable).
-pub fn surrogate_accuracy(ctx: &ArtifactCtx, size: usize) -> Result<ArtifactOutput, String> {
+pub fn surrogate_accuracy(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     let mut out = ArtifactOutput::default();
+    let size = SURROGATE_SIZE;
 
     // One surrogate serves all three scenarios: the tile physics it
     // emulates depends on the crossbar parameters, not the pruning method.

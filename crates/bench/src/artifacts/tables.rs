@@ -1,7 +1,6 @@
 //! Table-shaped artifacts: the paper's **Table I**, the sparsity/cost
 //! trade-off table, the per-layer mapping inventory, and the stuck-at
-//! fault-injection sweep. Moved out of the standalone binaries so the suite
-//! orchestrator can run them as library calls.
+//! fault-injection sweep, run by the suite orchestrator as library calls.
 
 use super::{ArtifactCtx, ArtifactOutput};
 use crate::report::{pct, rate, Table};
@@ -19,8 +18,11 @@ use xbar_sim::FaultModel;
 /// Crossbar size Table I evaluates at.
 pub const TABLE1_SIZE: usize = 32;
 
-/// Default crossbar size the fault sweep evaluates at.
+/// Crossbar size the fault sweep evaluates at.
 pub const FAULT_SWEEP_SIZE: usize = 16;
+
+/// Crossbar size the layer inventory maps onto.
+const INVENTORY_SIZE: usize = 32;
 
 /// Stuck-at fault rates swept (fraction of devices).
 pub const FAULT_RATES: [f64; 4] = [0.0, 0.001, 0.01, 0.05];
@@ -218,7 +220,7 @@ pub fn tradeoff(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     Ok(out)
 }
 
-/// The scenario the default inventory artifact trains.
+/// The scenario the inventory artifact trains.
 pub fn inventory_scenarios(ctx: &ArtifactCtx) -> Vec<Scenario> {
     vec![Scenario::new(
         VggVariant::Vgg11,
@@ -229,21 +231,13 @@ pub fn inventory_scenarios(ctx: &ArtifactCtx) -> Vec<Scenario> {
     .with_seed(ctx.seed)]
 }
 
-/// Regenerates the per-layer mapping inventory for a VGG11 scenario at the
-/// given crossbar size and pruning method.
-pub fn inventory(
-    ctx: &ArtifactCtx,
-    size: usize,
-    method: PruneMethod,
-) -> Result<ArtifactOutput, String> {
+/// Regenerates the per-layer mapping inventory of the C/F-pruned VGG11
+/// scenario on `INVENTORY_SIZE` crossbars.
+pub fn inventory(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     let mut out = ArtifactOutput::default();
-    let sc = Scenario::new(
-        VggVariant::Vgg11,
-        DatasetKind::Cifar10Like,
-        method,
-        ctx.scale,
-    )
-    .with_seed(ctx.seed);
+    let size = INVENTORY_SIZE;
+    let sc = inventory_scenarios(ctx).remove(0);
+    let method = sc.method;
     let data = sc.dataset();
     let tm = sc.train_model_cached(&data);
     let cfg = map_config(&tm, size, ctx.seed);
@@ -312,9 +306,10 @@ pub fn fault_sweep_scenarios(ctx: &ArtifactCtx) -> Vec<Scenario> {
 }
 
 /// Regenerates the stuck-at fault-injection sweep (rates × repair on/off)
-/// at the given crossbar size.
-pub fn fault_sweep(ctx: &ArtifactCtx, size: usize) -> Result<ArtifactOutput, String> {
+/// at [`FAULT_SWEEP_SIZE`].
+pub fn fault_sweep(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     let mut out = ArtifactOutput::default();
+    let size = FAULT_SWEEP_SIZE;
     let mut table = Table::new(
         format!("Fault-injection sweep ({size}x{size}, stuck-at devices)"),
         &[

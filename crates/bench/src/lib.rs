@@ -1,8 +1,8 @@
 //! # xbar-bench
 //!
 //! Shared experiment machinery for regenerating every table and figure of
-//! the paper, used by the binaries in `src/bin/` (`table1`, `fig3`, `fig4`,
-//! `heatmaps`, `ablation`) and the criterion benches.
+//! the paper, run by the `suite` binary (`suite --only <artifact>` for one
+//! artifact, `suite --list` for the catalogue).
 //!
 //! The harness trains width-scaled VGG models on the synthetic CIFAR-like
 //! datasets (see `xbar-data` and `DESIGN.md` for the substitution note),

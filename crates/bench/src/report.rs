@@ -1,4 +1,4 @@
-//! Markdown/CSV reporting helpers shared by the experiment binaries.
+//! Markdown/CSV reporting helpers shared by the experiment artifacts.
 
 use std::fs;
 use std::io;
@@ -98,9 +98,14 @@ impl Table {
 /// The directory experiment CSVs are written to (`results/` beside the
 /// workspace root, overridable with `XBAR_RESULTS_DIR`).
 pub fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("XBAR_RESULTS_DIR") {
-        return PathBuf::from(dir);
+    match std::env::var("XBAR_RESULTS_DIR") {
+        Ok(dir) => PathBuf::from(dir),
+        Err(_) => default_results_dir(),
     }
+}
+
+/// `results/` beside the workspace root.
+fn default_results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench → workspace root is two levels up.
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
     manifest
@@ -151,7 +156,8 @@ mod tests {
 
     #[test]
     fn results_dir_is_workspace_level() {
-        let d = results_dir();
+        let d = default_results_dir();
         assert!(d.ends_with("results"));
+        assert!(d.parent().unwrap().join("crates").is_dir());
     }
 }

@@ -19,9 +19,9 @@ pub const SIZES: [usize; 3] = [16, 32, 64];
 /// argument as its value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arity {
-    /// A boolean switch (`--verify`).
+    /// A boolean switch (`--gate`).
     Flag,
-    /// Takes one value (`--panel a`).
+    /// Takes one value (`--only fig3a`).
     Value,
 }
 
@@ -332,11 +332,11 @@ mod tests {
 
     #[test]
     fn try_parse_extras_value_and_flag() {
-        let argv = ["--panel", "b", "--verify"];
-        let extra = [("--panel", Arity::Value), ("--verify", Arity::Flag)];
+        let argv = ["--only", "fig3b", "--gate"];
+        let extra = [("--only", Arity::Value), ("--gate", Arity::Flag)];
         let args = CommonArgs::try_parse(argv.iter().map(|s| s.to_string()), &extra).unwrap();
-        assert_eq!(args.get("--panel"), Some("b"));
-        assert!(args.is_set("--verify"));
+        assert_eq!(args.get("--only"), Some("fig3b"));
+        assert!(args.is_set("--gate"));
         assert!(!args.is_set("--other"));
     }
 
@@ -354,9 +354,9 @@ mod tests {
     fn try_parse_rejects_missing_value() {
         let err = CommonArgs::try_parse(["--seed".to_string()], &[]).unwrap_err();
         assert!(err.contains("--seed"), "{err}");
-        let extra = [("--panel", Arity::Value)];
-        let err = CommonArgs::try_parse(["--panel".to_string()], &extra).unwrap_err();
-        assert!(err.contains("--panel"), "{err}");
+        let extra = [("--only", Arity::Value)];
+        let err = CommonArgs::try_parse(["--only".to_string()], &extra).unwrap_err();
+        assert!(err.contains("--only"), "{err}");
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl ExperimentScale {
         }
     }
 
-    /// Tiny setting for tests and criterion benches.
+    /// Tiny setting for tests and `suite --smoke`.
     pub fn smoke() -> Self {
         Self {
             width: 0.125,
@@ -278,7 +278,7 @@ impl Scenario {
     }
 
     /// Like [`Scenario::train_model`] but backed by a disk cache under
-    /// `results/cache/` so the many experiment binaries that share scenarios
+    /// `results/cache/` so the many artifacts and runs that share scenarios
     /// (e.g. the unpruned VGG11 baseline) train each model only once.
     ///
     /// Hits and misses are counted in the `bench/scenario_cache_hits` /
@@ -380,12 +380,9 @@ mod tests {
 
     #[test]
     fn cache_round_trip_restores_model_and_accuracy() {
-        // The dir ends in "results" so a concurrently running report-module
-        // test that reads XBAR_RESULTS_DIR still sees a plausible path.
-        let dir = std::env::temp_dir()
-            .join(format!("xbar_cache_test_{}", std::process::id()))
-            .join("results");
+        let dir = std::env::temp_dir().join(format!("xbar_cache_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
+        let previous = std::env::var_os("XBAR_RESULTS_DIR");
         std::env::set_var("XBAR_RESULTS_DIR", &dir);
         let sc = Scenario::new(
             VggVariant::Vgg11,
@@ -410,7 +407,10 @@ mod tests {
             .map(|t| t.clone())
             .collect();
         assert_eq!(sa, sb, "full state (incl. BN stats) must round-trip");
-        std::env::remove_var("XBAR_RESULTS_DIR");
+        match previous {
+            Some(value) => std::env::set_var("XBAR_RESULTS_DIR", value),
+            None => std::env::remove_var("XBAR_RESULTS_DIR"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

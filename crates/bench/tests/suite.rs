@@ -19,6 +19,7 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 struct ResultsDirGuard {
     _lock: std::sync::MutexGuard<'static, ()>,
     dir: PathBuf,
+    previous: Option<std::ffi::OsString>,
 }
 
 impl ResultsDirGuard {
@@ -29,14 +30,22 @@ impl ResultsDirGuard {
             .join("results");
         std::fs::remove_dir_all(dir.parent().unwrap()).ok();
         std::fs::create_dir_all(&dir).unwrap();
+        let previous = std::env::var_os("XBAR_RESULTS_DIR");
         std::env::set_var("XBAR_RESULTS_DIR", &dir);
-        ResultsDirGuard { _lock: lock, dir }
+        ResultsDirGuard {
+            _lock: lock,
+            dir,
+            previous,
+        }
     }
 }
 
 impl Drop for ResultsDirGuard {
     fn drop(&mut self) {
-        std::env::remove_var("XBAR_RESULTS_DIR");
+        match self.previous.take() {
+            Some(value) => std::env::set_var("XBAR_RESULTS_DIR", value),
+            None => std::env::remove_var("XBAR_RESULTS_DIR"),
+        }
         std::fs::remove_dir_all(self.dir.parent().unwrap()).ok();
     }
 }

@@ -4,8 +4,8 @@
 //! fewer crossbars mean less array area, fewer peripherals and less energy.
 //! This module turns the mapping's crossbar counts into first-order area and
 //! energy estimates, so the trade-off the paper describes — efficiency up,
-//! accuracy down — can be quantified on both axes (the `tradeoff` binary in
-//! `xbar-bench` prints it).
+//! accuracy down — can be quantified on both axes (the `tradeoff` artifact
+//! in `xbar-bench` prints it).
 //!
 //! The constants follow the ISAAC/PUMA line of accelerator papers at a 32 nm
 //! feature size; they are first-order (no wire/buffer modelling) and only

@@ -103,7 +103,7 @@ impl MappedFile {
         Ok(MappedFile { buf })
     }
 
-    /// The mapped bytes. `&[u8]` implements [`Read`], so this plugs
+    /// The mapped bytes. `&[u8]` implements [`std::io::Read`], so this plugs
     /// straight into the streaming artifact loaders.
     pub fn as_slice(&self) -> &[u8] {
         #[cfg(all(unix, target_pointer_width = "64"))]

@@ -1,8 +1,7 @@
 //! Dense `f64` matrices and LU decomposition with partial pivoting.
 //!
 //! Used as the exact reference solver for small crossbar tiles (a `16×16`
-//! tile has 512 circuit nodes) and to validate the iterative solvers on
-//! random diagonally-dominant systems.
+//! tile has 512 circuit nodes), against which line relaxation is validated.
 
 use crate::{Result, SolveError};
 

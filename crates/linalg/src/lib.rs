@@ -1,7 +1,7 @@
 //! # xbar-linalg
 //!
-//! Dense and sparse linear-algebra kernels backing the non-ideal crossbar
-//! circuit simulator of the `xbar-repro` workspace.
+//! Linear-algebra kernels backing the non-ideal crossbar circuit simulator
+//! of the `xbar-repro` workspace.
 //!
 //! The crossbar equivalent circuit of the paper's Fig. 1(a) — input drivers,
 //! wire-segment parasitics, synaptic conductances and sense resistances —
@@ -10,12 +10,10 @@
 //! voltages. This crate provides:
 //!
 //! * [`dense::LuDecomposition`] — LU with partial pivoting, the exact
-//!   reference solver used for small tiles and for validating the iterative
-//!   solvers;
-//! * [`sparse::CsrMatrix`] — compressed sparse row storage for the nodal
-//!   matrix of large tiles;
-//! * [`iterative`] — Jacobi, Gauss–Seidel, SOR and conjugate-gradient
-//!   solvers with residual-based stopping.
+//!   reference solver used for small tiles and for validating line
+//!   relaxation;
+//! * [`tridiagonal`] — the Thomas algorithm, the inner step of line
+//!   relaxation.
 //!
 //! All kernels are `f64`: conductances span three decades (`Gmin`..`Gmax`
 //! with wire conductances far larger), so `f32` loses the IR-drop signal.
@@ -35,9 +33,7 @@
 //! ```
 
 pub mod dense;
-pub mod iterative;
 pub mod norms;
-pub mod sparse;
 pub mod tridiagonal;
 
 use std::fmt;
@@ -93,11 +89,11 @@ impl fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// Convergence statistics reported by the iterative solvers: how much work
+/// Convergence statistics reported by the circuit solvers: how much work
 /// a solve took and how good the answer is, instead of discarding both.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveStats {
-    /// Sweeps (SOR) or iterations (CG) performed.
+    /// Sweeps (line relaxation) or 1 (a direct solve) performed.
     pub iterations: usize,
     /// Relative `‖b − A·x‖∞ / ‖b‖∞` residual at exit.
     pub residual: f64,

@@ -1,4 +1,4 @@
-//! Small vector-norm helpers shared by the solvers and their tests.
+//! Small vector-norm helpers shared by the solver tests.
 
 /// Maximum absolute difference between two equally long slices.
 ///
@@ -13,11 +13,6 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Euclidean norm of a slice.
-pub fn l2_norm(v: &[f64]) -> f64 {
-    v.iter().map(|&x| x * x).sum::<f64>().sqrt()
-}
-
 /// Infinity norm of a slice.
 pub fn inf_norm(v: &[f64]) -> f64 {
     v.iter().fold(0.0, |m, &x| m.max(x.abs()))
@@ -29,14 +24,12 @@ mod tests {
 
     #[test]
     fn norms_of_known_vectors() {
-        assert_eq!(l2_norm(&[3.0, 4.0]), 5.0);
         assert_eq!(inf_norm(&[-7.0, 2.0]), 7.0);
         assert_eq!(max_abs_diff(&[1.0, 5.0], &[2.0, 3.0]), 2.0);
     }
 
     #[test]
     fn empty_vectors() {
-        assert_eq!(l2_norm(&[]), 0.0);
         assert_eq!(inf_norm(&[]), 0.0);
         assert_eq!(max_abs_diff(&[], &[]), 0.0);
     }

@@ -3,9 +3,7 @@
 
 use proptest::prelude::*;
 use xbar_linalg::dense::{DenseMatrix, LuDecomposition};
-use xbar_linalg::iterative::{conjugate_gradient, sor, IterOptions};
 use xbar_linalg::norms::{inf_norm, max_abs_diff};
-use xbar_linalg::sparse::CooBuilder;
 use xbar_linalg::tridiagonal::solve_tridiagonal;
 
 /// A random strictly diagonally dominant dense system.
@@ -78,65 +76,5 @@ proptest! {
         }
         let exact = LuDecomposition::new(&dense).unwrap().solve(&rhs).unwrap();
         prop_assert!(max_abs_diff(&fast, &exact) < 1e-8);
-    }
-
-    #[test]
-    fn sparse_solvers_agree_with_dense(
-        n in 3usize..24,
-        seed in 0u64..10_000,
-    ) {
-        let mut s = seed | 1;
-        let mut rnd = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            ((s % 1000) as f64) / 1000.0
-        };
-        let mut builder = CooBuilder::new(n);
-        for i in 0..n {
-            for d in 1..=2usize {
-                let j = (i + d * 3) % n;
-                if i < j {
-                    builder.stamp_conductance(Some(i), Some(j), 0.1 + rnd());
-                }
-            }
-            builder.stamp_conductance(Some(i), None, 0.3 + rnd());
-        }
-        let m = builder.build();
-        prop_assert!(m.is_diagonally_dominant());
-        let b: Vec<f64> = (0..n).map(|_| rnd() - 0.5).collect();
-        let exact = LuDecomposition::new(&m.to_dense()).unwrap().solve(&b).unwrap();
-        let via_sor = sor(&m, &b, None, &IterOptions::default()).unwrap();
-        let via_cg = conjugate_gradient(&m, &b, &IterOptions::default()).unwrap();
-        prop_assert!(max_abs_diff(&exact, &via_sor) < 1e-6);
-        prop_assert!(max_abs_diff(&exact, &via_cg) < 1e-6);
-    }
-
-    #[test]
-    fn csr_matvec_matches_dense_matvec(
-        n in 1usize..16,
-        seed in 0u64..10_000,
-    ) {
-        let mut s = seed | 1;
-        let mut rnd = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            ((s % 2000) as f64 - 1000.0) / 500.0
-        };
-        let mut builder = CooBuilder::new(n);
-        for i in 0..n {
-            for j in 0..n {
-                if (i + j) % 3 == 0 {
-                    builder.add(i, j, rnd());
-                }
-            }
-            builder.add(i, i, 1.0);
-        }
-        let m = builder.build();
-        let x: Vec<f64> = (0..n).map(|_| rnd()).collect();
-        let sparse = m.matvec(&x).unwrap();
-        let dense = m.to_dense().matvec(&x).unwrap();
-        prop_assert!(max_abs_diff(&sparse, &dense) < 1e-12);
     }
 }

@@ -12,8 +12,8 @@
 //!       │ ResponseSlot notifier ──► completion list + wake pipe
 //! ```
 //!
-//! One thread owns every socket: a hand-rolled epoll loop
-//! ([`crate::event_loop`]) accepts, parses, and writes responses without a
+//! One thread owns every socket: a hand-rolled epoll loop (the private
+//! `event_loop` module) accepts, parses, and writes responses without a
 //! per-connection thread. Classify requests pass **admission control**
 //! before touching the batch queue: once the in-flight count reaches the
 //! admission limit the server sheds load with a cheap `429` +

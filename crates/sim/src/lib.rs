@@ -48,7 +48,6 @@
 //! # }
 //! ```
 
-pub mod analytic;
 pub mod cache;
 pub mod conductance;
 pub mod drift;
@@ -58,7 +57,6 @@ pub mod nf;
 pub mod params;
 pub mod program;
 pub mod quantize;
-pub mod slicing;
 pub mod solve;
 pub mod tile;
 pub mod variation;

@@ -40,8 +40,7 @@
 
 use crate::conductance::ConductanceMatrix;
 use crate::params::{CrossbarParams, InvalidParams};
-use xbar_linalg::dense::LuDecomposition;
-use xbar_linalg::sparse::CooBuilder;
+use xbar_linalg::dense::{DenseMatrix, LuDecomposition};
 use xbar_linalg::tridiagonal::solve_tridiagonal_into;
 use xbar_linalg::{Result, SolveError, SolveStats};
 use xbar_obs::names;
@@ -257,14 +256,7 @@ impl NonIdealSolver {
             )));
         }
         match self.method {
-            SolveMethod::DenseExact => {
-                let (vr, vc) = self.solve_dense(g, v)?;
-                Ok(NodeVoltages {
-                    vr,
-                    vc,
-                    stats: SolveStats::direct(),
-                })
-            }
+            SolveMethod::DenseExact => Ok(self.solve_dense_batch(g, &[v.to_vec()])?.remove(0)),
             SolveMethod::LineRelaxation => {
                 let (vr, vc, stats) = self.solve_lines_vec(g, v, warm)?;
                 Ok(NodeVoltages { vr, vc, stats })
@@ -295,14 +287,7 @@ impl NonIdealSolver {
             )));
         }
         match self.method {
-            SolveMethod::DenseExact => {
-                let (vr, vc) = self.solve_dense(g, v)?;
-                Ok(NodeVoltages {
-                    vr,
-                    vc,
-                    stats: SolveStats::direct(),
-                })
-            }
+            SolveMethod::DenseExact => Ok(self.solve_dense_batch(g, &[v.to_vec()])?.remove(0)),
             SolveMethod::LineRelaxation => {
                 let (vr, vc, stats) = self.solve_lines(g, v, warm)?;
                 Ok(NodeVoltages { vr, vc, stats })
@@ -522,9 +507,9 @@ impl NonIdealSolver {
             .collect())
     }
 
-    /// Dense nodal assembly + LU. Node order: all row nodes (`i·cols + j`)
-    /// then all column nodes (`rows·cols + i·cols + j`).
-    fn solve_dense(&self, g: &ConductanceMatrix, v: &[f64]) -> Result<(Vec<f64>, Vec<f64>)> {
+    /// The dense nodal matrix of the circuit. Node order: all row nodes
+    /// (`i·cols + j`) then all column nodes (`rows·cols + i·cols + j`).
+    fn nodal_matrix(&self, g: &ConductanceMatrix) -> DenseMatrix {
         let p = &self.params;
         let (rows, cols) = (g.rows(), g.cols());
         let n = 2 * rows * cols;
@@ -534,80 +519,56 @@ impl NonIdealSolver {
             g_of(p.r_wire_col),
             g_of(p.r_sense),
         );
-        let mut builder = CooBuilder::new(n);
-        let mut b = vec![0.0f64; n];
+        let mut a = DenseMatrix::zeros(n, n);
+        // Stamps a two-terminal conductance between nodes `x` and `y`.
+        let stamp = |a: &mut DenseMatrix, x: usize, y: usize, gv: f64| {
+            a.add_at(x, x, gv);
+            a.add_at(y, y, gv);
+            a.add_at(x, y, -gv);
+            a.add_at(y, x, -gv);
+        };
         let rnode = |i: usize, j: usize| i * cols + j;
         let cnode = |i: usize, j: usize| rows * cols + i * cols + j;
         for i in 0..rows {
             for j in 0..cols {
                 // Synapse between row and column nodes.
-                builder.stamp_conductance(Some(rnode(i, j)), Some(cnode(i, j)), g.at(i, j));
+                stamp(&mut a, rnode(i, j), cnode(i, j), g.at(i, j));
                 // Row wire to the right neighbour.
                 if j + 1 < cols {
-                    builder.stamp_conductance(Some(rnode(i, j)), Some(rnode(i, j + 1)), g_wr);
+                    stamp(&mut a, rnode(i, j), rnode(i, j + 1), g_wr);
                 }
                 // Column wire to the node below.
                 if i + 1 < rows {
-                    builder.stamp_conductance(Some(cnode(i, j)), Some(cnode(i + 1, j)), g_wc);
+                    stamp(&mut a, cnode(i, j), cnode(i + 1, j), g_wc);
                 }
             }
             // Driver at the left end of the row: conductance to the source.
-            builder.stamp_conductance(Some(rnode(i, 0)), None, g_drv);
-            b[rnode(i, 0)] += g_drv * v[i];
+            a.add_at(rnode(i, 0), rnode(i, 0), g_drv);
         }
         for j in 0..cols {
             // Sense resistor to ground at the bottom of the column.
-            builder.stamp_conductance(Some(cnode(rows - 1, j)), None, g_sns);
+            a.add_at(cnode(rows - 1, j), cnode(rows - 1, j), g_sns);
         }
-        let dense = builder.build().to_dense();
-        let x = LuDecomposition::new(&dense)?.solve(&b)?;
-        let (vr, vc) = x.split_at(rows * cols);
-        Ok((vr.to_vec(), vc.to_vec()))
+        a
     }
 
-    /// Batched dense solve: the nodal matrix depends only on `g`, so it is
-    /// assembled and LU-factorised once and back-substituted per element —
-    /// bit-identical to running [`NonIdealSolver::solve_dense`] per element
-    /// (same matrix, same factorisation, same substitutions).
+    /// Dense solve: the nodal matrix depends only on `g`, so it is
+    /// assembled and LU-factorised once and back-substituted per element.
+    /// The single-vector paths call this with a one-element batch.
     fn solve_dense_batch(
         &self,
         g: &ConductanceMatrix,
         vs: &[Vec<f64>],
     ) -> Result<Vec<NodeVoltages>> {
-        let p = &self.params;
         let (rows, cols) = (g.rows(), g.cols());
-        let n = 2 * rows * cols;
-        let (g_drv, g_wr, g_wc, g_sns) = (
-            g_of(p.r_driver),
-            g_of(p.r_wire_row),
-            g_of(p.r_wire_col),
-            g_of(p.r_sense),
-        );
-        let mut builder = CooBuilder::new(n);
-        let rnode = |i: usize, j: usize| i * cols + j;
-        let cnode = |i: usize, j: usize| rows * cols + i * cols + j;
-        for i in 0..rows {
-            for j in 0..cols {
-                builder.stamp_conductance(Some(rnode(i, j)), Some(cnode(i, j)), g.at(i, j));
-                if j + 1 < cols {
-                    builder.stamp_conductance(Some(rnode(i, j)), Some(rnode(i, j + 1)), g_wr);
-                }
-                if i + 1 < rows {
-                    builder.stamp_conductance(Some(cnode(i, j)), Some(cnode(i + 1, j)), g_wc);
-                }
-            }
-            builder.stamp_conductance(Some(rnode(i, 0)), None, g_drv);
-        }
-        for j in 0..cols {
-            builder.stamp_conductance(Some(cnode(rows - 1, j)), None, g_sns);
-        }
-        let dense = builder.build().to_dense();
-        let lu = LuDecomposition::new(&dense)?;
+        let g_drv = g_of(self.params.r_driver);
+        let lu = LuDecomposition::new(&self.nodal_matrix(g))?;
         vs.iter()
             .map(|v| {
-                let mut b = vec![0.0f64; n];
+                let mut b = vec![0.0f64; 2 * rows * cols];
+                // Each row's driver feeds its leftmost row node.
                 for i in 0..rows {
-                    b[rnode(i, 0)] += g_drv * v[i];
+                    b[i * cols] += g_drv * v[i];
                 }
                 let x = lu.solve(&b)?;
                 let (vr, vc) = x.split_at(rows * cols);

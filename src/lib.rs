@@ -9,7 +9,8 @@
 //! exercise the full pipeline with a single dependency:
 //!
 //! * [`tensor`] — N-d `f32` tensors, matmul, im2col;
-//! * [`linalg`] — dense/sparse solvers for the crossbar circuit equations;
+//! * [`linalg`] — dense LU and tridiagonal kernels for the crossbar circuit
+//!   equations;
 //! * [`nn`] — trainable DNNs (VGG11/VGG16) with manual backprop;
 //! * [`data`] — deterministic synthetic CIFAR-like datasets;
 //! * [`prune`] — structured pruning (C/F, XCS, XRS) and the T transformation;

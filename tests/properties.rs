@@ -124,13 +124,16 @@ proptest! {
     }
 
     #[test]
-    fn solvers_agree_on_random_crossbars(seed in 0u64..1000) {
-        let n = 5usize;
-        let params = CrossbarParams::with_size(n);
-        let mut g = ConductanceMatrix::filled(n, n, 0.0);
+    fn solvers_agree_on_random_crossbars(
+        seed in 0u64..1000,
+        rows in 1usize..8,
+        cols in 1usize..8,
+    ) {
+        let params = CrossbarParams::with_size(rows.max(cols));
+        let mut g = ConductanceMatrix::filled(rows, cols, 0.0);
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        for i in 0..n {
-            for j in 0..n {
+        for i in 0..rows {
+            for j in 0..cols {
                 s ^= s << 13;
                 s ^= s >> 7;
                 s ^= s << 17;
@@ -138,13 +141,15 @@ proptest! {
                 g.set(i, j, params.g_min() + f * (params.g_max() - params.g_min()));
             }
         }
-        let v = vec![params.v_read; n];
+        let v = vec![params.v_read; rows];
         let exact = NonIdealSolver::new(params, SolveMethod::DenseExact)
             .effective_conductances(&g, &v)
             .expect("exact");
         let lines = NonIdealSolver::new(params, SolveMethod::LineRelaxation)
             .effective_conductances(&g, &v)
             .expect("lines");
+        prop_assert_eq!(exact.col_currents.len(), cols);
+        prop_assert_eq!(lines.col_currents.len(), cols);
         for (a, b) in exact.col_currents.iter().zip(&lines.col_currents) {
             prop_assert!(((a - b) / a).abs() < 1e-5);
         }
