@@ -9,9 +9,11 @@
 //!
 //! Batching is exact, not approximate: every layer in the workspace
 //! processes batch rows independently (BatchNorm runs in `Eval` mode on its
-//! running statistics, and the row-parallel matmul keeps per-row summation
-//! order), so the logits for a request are bit-identical whether it rode in
-//! a batch of 1 or 64. `micro_batching_matches_single_request_forward`
+//! running statistics), and every matrix product sums each output element
+//! over ascending `k` from +0.0 whatever the batch composition — more
+//! images only add columns or rows to a product, never terms to an
+//! existing sum — so the logits for a request are bit-identical whether it
+//! rode in a batch of 1 or 64. `micro_batching_matches_single_request_forward`
 //! below pins this down.
 
 use std::collections::VecDeque;

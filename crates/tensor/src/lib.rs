@@ -11,7 +11,8 @@
 //! * [`Tensor`] — an owned, row-major, contiguous `f32` tensor with shape
 //!   bookkeeping and checked reshaping;
 //! * element-wise and reduction operations ([`ops`]);
-//! * cache-blocked, optionally multi-threaded matrix multiplication
+//! * matrix multiplication through one register-blocked, optionally
+//!   multi-threaded kernel whose sums are bit-identical to the naive loop
 //!   ([`matmul`]);
 //! * `im2col`/`col2im` convolution lowering ([`conv`]) used both by the DNN
 //!   library and by the crossbar mapping framework (convolutions are unrolled

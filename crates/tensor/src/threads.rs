@@ -1,6 +1,6 @@
 //! Worker-thread budget shared by every parallel section in the workspace.
 //!
-//! Parallel kernels (blocked matmul, tile simulation, the inference server's
+//! Parallel kernels (the GEMM kernel, tile simulation, the inference server's
 //! worker pools) all ask [`max_threads`] how many workers they may spawn.
 //! The budget resolves, in priority order:
 //!

@@ -3,6 +3,10 @@
 use proptest::prelude::*;
 use xbar_tensor::Tensor;
 
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 fn small_matrix() -> impl Strategy<Value = Tensor> {
     ((1usize..10), (1usize..10)).prop_flat_map(|(r, c)| {
         proptest::collection::vec(-100.0f32..100.0, r * c)
@@ -39,19 +43,18 @@ proptest! {
 
     #[test]
     fn identity_matmul_is_noop(m in small_matrix()) {
+        // Every product but one is ±0, and a sum from +0.0 never becomes −0,
+        // so both identities reproduce `m` exactly.
         let left = Tensor::eye(m.rows()).matmul(&m).unwrap();
         let right = m.matmul(&Tensor::eye(m.cols())).unwrap();
-        for (a, b) in m.as_slice().iter().zip(left.as_slice()) {
-            prop_assert!((a - b).abs() <= 1e-3 * a.abs().max(1.0));
-        }
-        for (a, b) in m.as_slice().iter().zip(right.as_slice()) {
-            prop_assert!((a - b).abs() <= 1e-3 * a.abs().max(1.0));
-        }
+        prop_assert_eq!(bits(&left), bits(&m));
+        prop_assert_eq!(bits(&right), bits(&m));
     }
 
     #[test]
     fn matmul_transpose_identity(a in small_matrix(), seed in 0u64..1000) {
-        // (A·B)ᵀ == Bᵀ·Aᵀ for a random compatible B.
+        // (A·B)ᵀ == Bᵀ·Aᵀ bit for bit for a random compatible B: the same
+        // products (multiplication commutes) summed in the same order.
         let k = a.cols();
         let n = 1 + (seed as usize % 6);
         let mut s = seed | 1;
@@ -63,27 +66,22 @@ proptest! {
         });
         let lhs = a.matmul(&b).unwrap().transpose();
         let rhs = b.transpose().matmul(&a.transpose()).unwrap();
-        for (x, y) in lhs.as_slice().iter().zip(rhs.as_slice()) {
-            prop_assert!((x - y).abs() <= 1e-2 * x.abs().max(1.0), "{} vs {}", x, y);
-        }
+        prop_assert_eq!(bits(&lhs), bits(&rhs));
     }
 
     #[test]
     fn matmul_variants_agree(a in small_matrix(), b in small_matrix()) {
-        // matmul_at_b(A, B) == Aᵀ·B whenever shapes allow.
+        // matmul_at_b(A, B) == Aᵀ·B and matmul_a_bt(A, B) == A·Bᵀ, bit for
+        // bit, whenever shapes allow.
         if a.rows() == b.rows() {
             let fused = a.matmul_at_b(&b).unwrap();
             let naive = a.transpose().matmul(&b).unwrap();
-            for (x, y) in fused.as_slice().iter().zip(naive.as_slice()) {
-                prop_assert!((x - y).abs() <= 1e-2 * x.abs().max(1.0));
-            }
+            prop_assert_eq!(bits(&fused), bits(&naive));
         }
         if a.cols() == b.cols() {
             let fused = a.matmul_a_bt(&b).unwrap();
             let naive = a.matmul(&b.transpose()).unwrap();
-            for (x, y) in fused.as_slice().iter().zip(naive.as_slice()) {
-                prop_assert!((x - y).abs() <= 1e-2 * x.abs().max(1.0));
-            }
+            prop_assert_eq!(bits(&fused), bits(&naive));
         }
     }
 
