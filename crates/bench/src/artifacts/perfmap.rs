@@ -20,7 +20,6 @@ use xbar_obs::metrics::counter_value;
 use xbar_obs::names;
 use xbar_prune::PruneMethod;
 use xbar_sim::params::CrossbarParams;
-use xbar_sim::CacheMode;
 
 /// Crossbar size the solver-performance benchmark maps onto.
 const PERF_SIZE: usize = 32;
@@ -152,16 +151,17 @@ fn bits_equal(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Solver-performance benchmark: cold vs warm-started vs cached mapping of a
-/// width-scaled VGG11 on `PERF_SIZE` crossbars, written to
-/// `results/BENCH_map.json`.
+/// Solver-performance benchmark: cold vs cached mapping of a width-scaled
+/// VGG11 on `PERF_SIZE` crossbars, written to `results/BENCH_map.json`.
+/// Cold is the model's first map, which solves every array and fills the
+/// solve cache, as any first map does; cached is the re-map, which replays
+/// those solves.
 ///
-/// Toggles the process-global solve-cache mode, so it must not share the
-/// process with concurrent mapping work — the registry marks it `exclusive`.
+/// Timing-sensitive, so the registry marks it `exclusive`.
 ///
 /// # Errors
 ///
-/// Fails if cached/warm mapping diverges bitwise from the cold mapping or if
+/// Fails if cached mapping diverges bitwise from the cold mapping or if
 /// the cached re-map speedup falls below the 1.05× target. (The target was
 /// 1.5× until cold mapping itself was pipelined over the work-stealing
 /// thread pool and the solver vectorized — the cache's job is to never lose
@@ -185,50 +185,25 @@ pub fn perf(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
         ..Default::default()
     };
 
-    // Cold: no caching, every tile solved from the cold initial guess.
-    xbar_sim::set_solve_cache_mode(CacheMode::Off);
-    let cold = timed_map(&model, &cfg);
-    // Restore the default mode before propagating any error.
-    let (cold_s, cold_model, cold_report) = match cold {
-        Ok(v) => v,
-        Err(e) => {
-            xbar_sim::set_solve_cache_mode(CacheMode::Full);
-            return Err(e);
-        }
-    };
-    let cold_weights = synaptic_weights(&cold_model);
-    eprintln!(
-        "[perf] cold map: {cold_s:.3}s, {} solver sweeps",
-        cold_report.solver_iterations()
-    );
-
-    // Populate, then replay from cache: the repeated-sweep workload.
-    xbar_sim::set_solve_cache_mode(CacheMode::Full);
-    xbar_sim::clear_solve_cache();
     let (h0, m0) = (
         counter_value(names::SIM_SOLVE_CACHE_HITS),
         counter_value(names::SIM_SOLVE_CACHE_MISSES),
     );
-    let (populate_s, _, _) = timed_map(&model, &cfg)?;
+    let (cold_s, cold_model, cold_report) = timed_map(&model, &cfg)?;
+    eprintln!(
+        "[perf] cold map: {cold_s:.3}s, {} solver sweeps",
+        cold_report.solver_iterations()
+    );
     let (cached_s, cached_model, cached_report) = timed_map(&model, &cfg)?;
     let hits = counter_value(names::SIM_SOLVE_CACHE_HITS) - h0;
     let misses = counter_value(names::SIM_SOLVE_CACHE_MISSES) - m0;
     eprintln!("[perf] cached re-map: {cached_s:.3}s ({hits} hits / {misses} misses)");
 
-    // Warm-started: each solve verifies the cached voltages in ~1 sweep.
-    xbar_sim::set_solve_cache_mode(CacheMode::Seed);
-    let warm = timed_map(&model, &cfg);
-    xbar_sim::set_solve_cache_mode(CacheMode::Full);
-    let (warm_s, warm_model, warm_report) = warm?;
-    eprintln!(
-        "[perf] warm re-map: {warm_s:.3}s, {} solver sweeps",
-        warm_report.solver_iterations()
+    let bit_identical_cached = bits_equal(
+        &synaptic_weights(&cold_model),
+        &synaptic_weights(&cached_model),
     );
-
-    let bit_identical_cached = bits_equal(&cold_weights, &synaptic_weights(&cached_model));
-    let bit_identical_warm = bits_equal(&cold_weights, &synaptic_weights(&warm_model));
     let speedup_cached = cold_s / cached_s.max(1e-12);
-    let speedup_warm = cold_s / warm_s.max(1e-12);
 
     let json = Json::Obj(vec![
         ("bin".into(), Json::Str("perf".into())),
@@ -238,11 +213,8 @@ pub fn perf(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
         ("crossbar_size".into(), Json::Num(size as f64)),
         ("seed".into(), Json::Num(seed as f64)),
         ("cold_s".into(), Json::Num(cold_s)),
-        ("populate_s".into(), Json::Num(populate_s)),
         ("cached_s".into(), Json::Num(cached_s)),
-        ("warm_s".into(), Json::Num(warm_s)),
         ("speedup_cached".into(), Json::Num(speedup_cached)),
-        ("speedup_warm".into(), Json::Num(speedup_warm)),
         ("cache_hits".into(), Json::Num(hits as f64)),
         ("cache_misses".into(), Json::Num(misses as f64)),
         (
@@ -254,14 +226,9 @@ pub fn perf(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
             Json::Num(cached_report.solver_iterations() as f64),
         ),
         (
-            "solver_sweeps_warm".into(),
-            Json::Num(warm_report.solver_iterations() as f64),
-        ),
-        (
             "bit_identical_cached".into(),
             Json::Bool(bit_identical_cached),
         ),
-        ("bit_identical_warm".into(), Json::Bool(bit_identical_warm)),
     ]);
     let dir = results_dir();
     std::fs::create_dir_all(&dir).map_err(|e| format!("create results directory: {e}"))?;
@@ -270,23 +237,17 @@ pub fn perf(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     if !ctx.quiet {
         println!(
-            "cold {cold_s:.3}s | cached {cached_s:.3}s ({speedup_cached:.1}x) | \
-             warm {warm_s:.3}s ({speedup_warm:.1}x) -> {}",
+            "cold {cold_s:.3}s | cached {cached_s:.3}s ({speedup_cached:.1}x) -> {}",
             path.display()
         );
     }
     out.outputs.push(path);
     out.key("cold_s", cold_s);
     out.key("cached_s", cached_s);
-    out.key("warm_s", warm_s);
     out.key("speedup_cached", speedup_cached);
-    out.key("speedup_warm", speedup_warm);
 
-    if !bit_identical_cached || !bit_identical_warm {
-        return Err(format!(
-            "cached/warm mapping diverged from cold \
-             (cached: {bit_identical_cached}, warm: {bit_identical_warm})"
-        ));
+    if !bit_identical_cached {
+        return Err("cached mapping diverged from cold".to_string());
     }
     if speedup_cached < 1.05 {
         return Err(format!(

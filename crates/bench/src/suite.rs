@@ -354,8 +354,8 @@ pub fn perf_gate_failures(baseline: &Json, fresh: &Json, tolerance: f64) -> Vec<
         tolerance,
         "perf",
         "BENCH_map.json",
-        &["speedup_cached", "speedup_warm"],
-        &["bit_identical_cached", "bit_identical_warm"],
+        &["speedup_cached"],
+        &["bit_identical_cached"],
     )
 }
 
@@ -929,29 +929,27 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteReport, String> {
 mod tests {
     use super::*;
 
-    fn bench_json(speedup_cached: f64, speedup_warm: f64, bit_identical: bool) -> Json {
+    fn bench_json(speedup_cached: f64, bit_identical: bool) -> Json {
         Json::Obj(vec![
             ("speedup_cached".to_string(), Json::Num(speedup_cached)),
-            ("speedup_warm".to_string(), Json::Num(speedup_warm)),
             (
                 "bit_identical_cached".to_string(),
                 Json::Bool(bit_identical),
             ),
-            ("bit_identical_warm".to_string(), Json::Bool(bit_identical)),
         ])
     }
 
     #[test]
     fn perf_gate_passes_within_tolerance() {
-        let baseline = bench_json(10.0, 20.0, true);
-        let fresh = bench_json(6.0, 11.0, true);
+        let baseline = bench_json(10.0, true);
+        let fresh = bench_json(6.0, true);
         assert!(perf_gate_failures(&baseline, &fresh, 0.5).is_empty());
     }
 
     #[test]
     fn perf_gate_flags_regression_and_lost_bit_identity() {
-        let baseline = bench_json(10.0, 20.0, true);
-        let fresh = bench_json(4.0, 20.0, false);
+        let baseline = bench_json(10.0, true);
+        let fresh = bench_json(4.0, false);
         let failures = perf_gate_failures(&baseline, &fresh, 0.5);
         assert!(
             failures.iter().any(|f| f.contains("speedup_cached")),
@@ -966,7 +964,7 @@ mod tests {
     #[test]
     fn perf_gate_tolerates_missing_baseline_fields() {
         let baseline = Json::Obj(vec![]);
-        let fresh = bench_json(1.0, 1.0, true);
+        let fresh = bench_json(1.0, true);
         assert!(perf_gate_failures(&baseline, &fresh, 0.5).is_empty());
     }
 

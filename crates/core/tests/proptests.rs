@@ -1,5 +1,5 @@
-//! Property-based tests for fault-tolerant tile mapping and the solve
-//! cache.
+//! Property-based tests for fault-tolerant tile mapping, and a model
+//! re-map through the solve cache.
 //!
 //! The repair path promises monotonicity by construction: a spare-column
 //! remap is only accepted when it reduces the tile's total weight error,
@@ -10,20 +10,19 @@
 //!
 //! The solve cache promises invisibility: memoising tile circuit solves by
 //! content hash may only skip work, never change a single bit of the mapped
-//! weights — across variation seeds, circuit parameters and cache modes.
+//! weights. Its keying is tested where it lives (`xbar-sim`'s unit tests);
+//! here a whole model is mapped twice, the second time from the cache.
 
 use proptest::prelude::*;
-use std::sync::Mutex;
 use xbar_core::pipeline::{map_to_crossbars, MapConfig};
 use xbar_core::repair::{map_tile_with_repair, RepairConfig};
+use xbar_obs::metrics::counter_value;
+use xbar_obs::names;
 use xbar_sim::faults::FaultModel;
 use xbar_sim::params::CrossbarParams;
 use xbar_sim::solve::SolveMethod;
-use xbar_sim::{simulate_tile, CacheMode, MappingScale};
+use xbar_sim::MappingScale;
 use xbar_tensor::Tensor;
-
-/// Serialises tests that flip the process-global solve-cache mode.
-static CACHE_LOCK: Mutex<()> = Mutex::new(());
 
 fn weight_tile() -> impl Strategy<Value = Tensor> {
     (3usize..9, 3usize..7).prop_flat_map(|(rows, cols)| {
@@ -127,60 +126,6 @@ proptest! {
         ).unwrap();
         prop_assert_eq!(mapped.weights.shape(), tile.shape());
     }
-
-    /// The solve cache must be invisible: simulating random tiles under
-    /// differing variation seeds and circuit parameters, with the cache
-    /// warm from *other* (seed, params) combinations, is bit-identical to
-    /// simulating with the cache off. A mis-keyed cache (one that ignored
-    /// the conductance content, the parasitics, or the voltage vector)
-    /// would hand a tile some other tile's solution and fail this within a
-    /// case or two.
-    #[test]
-    fn solve_cache_is_keyed_correctly_across_seeds_and_params(
-        tile in weight_tile(),
-        seed_a in 0u64..200,
-        seed_b in 200u64..400,
-        wire_scale in 1u32..4,
-    ) {
-        let _guard = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let mut params_a = CrossbarParams::with_size(8);
-        params_a.sigma_variation = 0.05;
-        let mut params_b = params_a;
-        params_b.r_wire_row *= f64::from(wire_scale);
-        let combos = [
-            (seed_a, params_a), (seed_b, params_a),
-            (seed_a, params_b), (seed_b, params_b),
-        ];
-        let run_all = || -> Vec<Tensor> {
-            combos
-                .iter()
-                .map(|(seed, params)| {
-                    simulate_tile(
-                        &tile, MappingScale::PerTileMax, 1.0, params,
-                        SolveMethod::LineRelaxation, *seed,
-                    )
-                    .unwrap()
-                    .weights
-                })
-                .collect()
-        };
-        xbar_sim::set_solve_cache_mode(CacheMode::Off);
-        let cold = run_all();
-        // Populate the cache with every combination, then replay: each
-        // combination must hit its own entry, not a neighbour's.
-        xbar_sim::set_solve_cache_mode(CacheMode::Full);
-        xbar_sim::clear_solve_cache();
-        let populate = run_all();
-        let replay = run_all();
-        xbar_sim::set_solve_cache_mode(CacheMode::Off);
-        for (k, ((c, p), r)) in cold.iter().zip(&populate).zip(&replay).enumerate() {
-            prop_assert_eq!(c, p, "combo {} differed while populating", k);
-            prop_assert_eq!(c, r, "combo {} differed on cache replay", k);
-        }
-        // Different seeds genuinely produce different devices — the cache
-        // had real discrimination work to do above.
-        prop_assert!(cold[0] != cold[1], "different seeds must differ");
-    }
 }
 
 /// Builds a small two-layer model with deterministic pseudo-random weights.
@@ -209,12 +154,12 @@ fn layer_weights(model: &xbar_nn::Sequential) -> Vec<&Tensor> {
     out
 }
 
-/// The acceptance-criterion equivalence test: a full model mapping run with
-/// the solve cache in any mode — cold (`Off`), replayed (`Full`), or
-/// warm-started (`Seed`) — produces bit-identical mapped weights.
+/// A re-map replays the solve cache: mapping the same model twice gives
+/// bit-identical weights and equal solver work, and every array of the
+/// second map is a cache hit. Sibling tests only ever add hits, so the
+/// counter check cannot fail falsely.
 #[test]
-fn mapping_is_bit_identical_across_cache_modes() {
-    let _guard = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+fn remapping_replays_cached_solves_bit_identically() {
     let model = tiny_model(11);
     let mut params = CrossbarParams::with_size(16);
     params.sigma_variation = 0.05;
@@ -225,40 +170,26 @@ fn mapping_is_bit_identical_across_cache_modes() {
     };
     let run = || map_to_crossbars(&model, &cfg).unwrap();
 
-    xbar_sim::set_solve_cache_mode(CacheMode::Off);
-    let (cold, cold_report) = run();
+    let (first, first_report) = run();
+    let hits_before = counter_value(names::SIM_SOLVE_CACHE_HITS);
+    let (second, second_report) = run();
+    let hits = counter_value(names::SIM_SOLVE_CACHE_HITS) - hits_before;
 
-    xbar_sim::set_solve_cache_mode(CacheMode::Full);
-    xbar_sim::clear_solve_cache();
-    let (populate, _) = run();
-    let (full_hit, full_report) = run();
-
-    xbar_sim::set_solve_cache_mode(CacheMode::Seed);
-    let (seed_hit, seed_report) = run();
-    xbar_sim::set_solve_cache_mode(CacheMode::Off);
-
-    let reference = layer_weights(&cold);
-    for (name, mapped) in [
-        ("populate", &populate),
-        ("full-hit", &full_hit),
-        ("seed-hit", &seed_hit),
-    ] {
-        let weights = layer_weights(mapped);
-        assert_eq!(weights.len(), reference.len());
-        for (i, (a, b)) in reference.iter().zip(&weights).enumerate() {
-            assert_eq!(a, b, "{name}: layer weight {i} not bit-identical");
-        }
+    let reference = layer_weights(&first);
+    let weights = layer_weights(&second);
+    assert_eq!(weights.len(), reference.len());
+    for (i, (a, b)) in reference.iter().zip(&weights).enumerate() {
+        assert_eq!(a, b, "layer weight {i} not bit-identical on re-map");
     }
-    // Full replays the stored stats; Seed honestly reports ~1 verifying
-    // sweep per array and must therefore be cheaper than cold.
+    // A hit replays the stored cold solve's stats.
     assert_eq!(
-        full_report.solver_iterations(),
-        cold_report.solver_iterations()
+        second_report.solver_iterations(),
+        first_report.solver_iterations()
     );
+    // Two arrays (positive and negative) per crossbar tile.
+    let arrays = 2 * second_report.crossbar_count() as u64;
     assert!(
-        seed_report.solver_iterations() < cold_report.solver_iterations(),
-        "warm-started mapping must do less solver work: {} vs {}",
-        seed_report.solver_iterations(),
-        cold_report.solver_iterations()
+        hits >= arrays,
+        "re-map of {arrays} arrays made only {hits} cache hits"
     );
 }

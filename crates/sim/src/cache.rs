@@ -18,51 +18,26 @@
 //! hashes; at that width accidental collisions are out of reach of any
 //! realistic workload.
 //!
-//! Reuse comes in two flavours ([`CacheMode`]):
-//!
-//! * [`CacheMode::Full`] (the default) replays the stored node voltages
-//!   through the pure extraction step — **bit-identical** to the cold solve
-//!   that populated the entry, including its [`SolveStats`].
-//! * [`CacheMode::Seed`] warm-starts a fresh solve from the stored voltages
-//!   with verify semantics (see [`crate::solve::Warm`]): the weights are
-//!   bit-identical whenever the verifying sweep confirms the seed, while
-//!   the stats honestly report the ~1 sweep of work actually done. This
-//!   mode exists to exercise and validate the warm-start path; `Full` is
-//!   strictly cheaper.
+//! A hit replays the stored node voltages through the pure extraction
+//! step, so it is **bit-identical** to the cold solve that populated the
+//! entry, including its [`SolveStats`]. Only cold solves are inserted:
+//! a solve warm-started by its caller never is.
 //!
 //! Hits and misses are counted in the `sim/solve_cache_hits` /
 //! `sim/solve_cache_misses` metrics (`xbar-obs`).
 //!
-//! The store is process-global and bounded by stored voltage volume
-//! (FIFO eviction), so long sweeps cannot grow it without limit.
+//! A [`SolveCache`] is bounded by stored voltage volume (FIFO eviction), so
+//! long sweeps cannot grow it without limit. Every public solve entry point
+//! shares one process-wide instance ([`SolveCache::shared`]); tests that
+//! need a cold reference or an exact entry count use a fresh one.
 //!
 //! [`SolveStats`]: xbar_linalg::SolveStats
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{LazyLock, Mutex, MutexGuard};
 
 use crate::conductance::ConductanceMatrix;
 use crate::solve::{NodeVoltages, NonIdealSolver, SolveMethod};
-
-/// How [`crate::tile::simulate_tile`] uses the solve cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheMode {
-    /// No caching: every array is solved cold.
-    Off,
-    /// Hits replay the stored cold solve — bit-identical results and stats.
-    Full,
-    /// Hits warm-start a verifying solve from the stored voltages
-    /// (bit-identical weights, honest ~1-sweep stats).
-    Seed,
-}
-
-const MODE_UNSET: u8 = 0;
-const MODE_OFF: u8 = 1;
-const MODE_FULL: u8 = 2;
-const MODE_SEED: u8 = 3;
-
-static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
 
 /// Total `f64`-equivalents the cache may hold before FIFO eviction kicks
 /// in (~64 MiB). Each entry is charged its voltage payload *plus*
@@ -120,53 +95,37 @@ pub(crate) struct CachedSolve {
     pub fallback: bool,
 }
 
-static STORE: Mutex<Option<Store>> = Mutex::new(None);
+/// A bounded, content-addressed store of cold array solves, safe to share
+/// across the threads that map tiles in parallel.
+#[derive(Default)]
+pub(crate) struct SolveCache {
+    store: Mutex<Store>,
+}
 
-/// The active cache mode. Defaults to [`CacheMode::Full`]; the
-/// `XBAR_SOLVE_CACHE` environment variable (`off` / `full` / `seed`)
-/// overrides the default until [`set_solve_cache_mode`] is called.
-pub fn solve_cache_mode() -> CacheMode {
-    match MODE.load(Ordering::Relaxed) {
-        MODE_OFF => CacheMode::Off,
-        MODE_FULL => CacheMode::Full,
-        MODE_SEED => CacheMode::Seed,
-        _ => {
-            let mode = match std::env::var("XBAR_SOLVE_CACHE").as_deref() {
-                Ok("off") | Ok("0") => CacheMode::Off,
-                Ok("seed") => CacheMode::Seed,
-                _ => CacheMode::Full,
-            };
-            MODE.store(encode(mode), Ordering::Relaxed);
-            mode
-        }
+impl SolveCache {
+    /// The process-wide instance behind every public solve entry point.
+    pub(crate) fn shared() -> &'static SolveCache {
+        static SHARED: LazyLock<SolveCache> = LazyLock::new(SolveCache::default);
+        &SHARED
     }
-}
 
-/// Sets the cache mode for the whole process. Switching modes does not
-/// drop stored entries; use [`clear_solve_cache`] for that.
-pub fn set_solve_cache_mode(mode: CacheMode) {
-    MODE.store(encode(mode), Ordering::Relaxed);
-}
-
-fn encode(mode: CacheMode) -> u8 {
-    match mode {
-        CacheMode::Off => MODE_OFF,
-        CacheMode::Full => MODE_FULL,
-        CacheMode::Seed => MODE_SEED,
+    fn store(&self) -> MutexGuard<'_, Store> {
+        self.store.lock().unwrap_or_else(|e| e.into_inner())
     }
-}
 
-/// Drops every cached solve (hit/miss counters in `xbar-obs` are
-/// cumulative and unaffected).
-pub fn clear_solve_cache() {
-    let mut guard = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    *guard = None;
-}
+    pub(crate) fn lookup(&self, key: u128) -> Option<CachedSolve> {
+        self.store().entries.get(&key).cloned()
+    }
 
-/// Number of array solves currently cached.
-pub fn solve_cache_len() -> usize {
-    let guard = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    guard.as_ref().map_or(0, |s| s.entries.len())
+    pub(crate) fn insert(&self, key: u128, nodes: NodeVoltages, fallback: bool) {
+        self.store().insert(key, nodes, fallback);
+    }
+
+    /// Number of array solves currently held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.store().entries.len()
+    }
 }
 
 const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
@@ -232,18 +191,6 @@ pub(crate) fn solve_keys_batch(
     vs.iter().map(|v| extend_key(prefix, v)).collect()
 }
 
-pub(crate) fn lookup(key: u128) -> Option<CachedSolve> {
-    let guard = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    guard.as_ref()?.entries.get(&key).cloned()
-}
-
-pub(crate) fn insert(key: u128, nodes: NodeVoltages, fallback: bool) {
-    let mut guard = STORE.lock().unwrap_or_else(|e| e.into_inner());
-    guard
-        .get_or_insert_with(Store::default)
-        .insert(key, nodes, fallback);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,8 +244,6 @@ mod tests {
 
     #[test]
     fn eviction_keeps_volume_bounded() {
-        // A private store: the process-global one is shared with every
-        // test that maps tiles in parallel with this one.
         let nodes = |k: u64, len: usize| NodeVoltages {
             vr: vec![k as f64; len],
             vc: vec![k as f64; len],

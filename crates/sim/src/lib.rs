@@ -48,7 +48,7 @@
 //! # }
 //! ```
 
-pub mod cache;
+mod cache;
 pub mod conductance;
 pub mod drift;
 pub mod faults;
@@ -61,7 +61,6 @@ pub mod solve;
 pub mod tile;
 pub mod variation;
 
-pub use cache::{clear_solve_cache, set_solve_cache_mode, solve_cache_mode, CacheMode};
 pub use conductance::{ConductanceMatrix, MappingScale};
 pub use drift::{DriftModel, ProgrammedPair};
 pub use faults::{FaultKind, FaultModel};

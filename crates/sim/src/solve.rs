@@ -71,9 +71,10 @@ pub enum SolveMethod {
 ///
 /// Voltages are the solver's *state*: handing them back to a later solve as
 /// a [`Warm`] start lets that solve resume where this one left off (the 4×
-/// fallback retry) or verify-and-reuse a converged solution (cached
-/// re-solves, repair re-simulation) instead of rediscovering everything
-/// from the cold initial guess.
+/// fallback retry) or verify-and-reuse a converged solution (repair's
+/// re-simulation of a column-permuted tile) instead of rediscovering
+/// everything from the cold initial guess. The solve cache stores them too,
+/// and a hit reads its result straight off the stored voltages.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeVoltages {
     /// Row-wire node voltages.

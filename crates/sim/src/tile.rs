@@ -5,7 +5,7 @@
 //! solve → effective conductances `G'` → non-ideal weights `W'`, plus NF
 //! statistics for Fig. 3(d).
 
-use crate::cache::{self, CacheMode};
+use crate::cache::{self, SolveCache};
 use crate::conductance::{
     conductances_to_weights, weights_to_conductances, ConductanceMatrix, DifferentialPair,
     MappingScale,
@@ -15,6 +15,7 @@ use crate::params::CrossbarParams;
 use crate::program::{program_array, ArrayKind, FaultReport};
 use crate::quantize::quantize_conductances;
 use crate::solve::{EffectiveSolve, NodeVoltages, NonIdealSolver, SolveMethod, Warm};
+use std::collections::hash_map::{Entry, HashMap};
 use xbar_linalg::{Result, SolveError, SolveStats};
 use xbar_obs::names;
 use xbar_tensor::Tensor;
@@ -236,13 +237,14 @@ pub fn simulate_tile(
 
 /// [`simulate_tile`], plus warm-start plumbing: the returned
 /// [`TileSolveState`] holds the solved node voltages of both arrays, and a
-/// related later simulation (repair's column-permuted re-run, a recalibrate
-/// re-map of slightly perturbed weights) can pass it back as `warm` to
-/// start relaxation from that state instead of the cold guess.
+/// related later simulation (repair's column-permuted re-run) can pass it
+/// back as `warm` to start relaxation from that state instead of the cold
+/// guess.
 ///
-/// Warm-started solves are never inserted into the solve cache — only cold
-/// solves are, so a [`CacheMode::Full`] hit always replays a genuine cold
-/// result bit-for-bit.
+/// Both entry points share the process-wide solve cache: an array whose
+/// solve is already cached replays that cold solve bit-for-bit. A
+/// warm-started solve is never inserted, so the cache only ever holds
+/// genuine cold results.
 ///
 /// # Errors
 ///
@@ -251,6 +253,30 @@ pub fn simulate_tile(
 ///   extended-sweep fallback.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_tile_seeded(
+    tile: &Tensor,
+    scale: MappingScale,
+    layer_abs_max: f32,
+    params: &CrossbarParams,
+    method: SolveMethod,
+    seed: u64,
+    warm: Option<&TileSolveState>,
+) -> Result<(TileOutcome, TileSolveState)> {
+    simulate_tile_in(
+        SolveCache::shared(),
+        tile,
+        scale,
+        layer_abs_max,
+        params,
+        method,
+        seed,
+        warm,
+    )
+}
+
+/// [`simulate_tile_seeded`] through the given solve cache.
+#[allow(clippy::too_many_arguments)]
+fn simulate_tile_in(
+    cache: &SolveCache,
     tile: &Tensor,
     scale: MappingScale,
     layer_abs_max: f32,
@@ -279,9 +305,9 @@ pub fn simulate_tile_seeded(
     });
     let solve_start = std::time::Instant::now();
     let (pos_solve, pos_nodes, pos_fallback) =
-        solve_array(&solver, &pair.pos, &v, warm.map(|w| w.pos.warm()))?;
+        solve_array(cache, &solver, &pair.pos, &v, warm.map(|w| w.pos.warm()))?;
     let (neg_solve, neg_nodes, neg_fallback) =
-        solve_array(&solver, &pair.neg, &v, warm.map(|w| w.neg.warm()))?;
+        solve_array(cache, &solver, &pair.neg, &v, warm.map(|w| w.neg.warm()))?;
     let solve_us = solve_start.elapsed().as_secs_f64() * 1e6;
     let mut stats = pos_solve.stats;
     stats.accumulate(neg_solve.stats);
@@ -326,8 +352,39 @@ pub fn simulate_tile_seeded(
     Ok((outcome, state))
 }
 
-/// Solves one array through the solve cache, resuming once with a 4× sweep
-/// budget if line relaxation fails to converge within the base budget.
+/// Solves one array through `cache`. A hit replays the stored cold solve
+/// (extraction is pure, so the result is bit-identical to the solve that
+/// populated the entry). A miss solves, resuming through
+/// [`resume_fallback`] if needed, and inserts the result unless the caller
+/// seeded the solve. Cache traffic is counted in `sim/solve_cache_hits` /
+/// `_misses`.
+fn solve_array(
+    cache: &SolveCache,
+    solver: &NonIdealSolver,
+    g: &ConductanceMatrix,
+    v: &[f64],
+    warm: Option<Warm<'_>>,
+) -> Result<(EffectiveSolve, NodeVoltages, bool)> {
+    let key = cache::solve_key(solver, g, v);
+    if let Some(hit) = cache.lookup(key) {
+        xbar_obs::metrics::counter_add(names::SIM_SOLVE_CACHE_HITS, 1);
+        let solve = solver.extract(g, v, &hit.nodes)?;
+        return Ok((solve, hit.nodes, hit.fallback));
+    }
+    xbar_obs::metrics::counter_add(names::SIM_SOLVE_CACHE_MISSES, 1);
+    let caller_seeded = warm.is_some();
+    let first = solver.solve_nodes(g, v, warm)?;
+    let (nodes, fallback) = resume_fallback(solver, g, v, first)?;
+    let solve = solver.extract(g, v, &nodes)?;
+    if !caller_seeded {
+        cache.insert(key, nodes.clone(), fallback);
+    }
+    Ok((solve, nodes, fallback))
+}
+
+/// Finishes a solve that may have hit the sweep cap: if `first` did not
+/// converge, resumes it once with a 4× sweep budget. Returns the converged
+/// voltages and whether the fallback ran.
 ///
 /// The fallback *resumes* from the abandoned state instead of re-running
 /// from the cold guess, so the abandoned sweeps are paid for (and counted
@@ -335,83 +392,40 @@ pub fn simulate_tile_seeded(
 /// deterministic, the resumed trajectory is bit-for-bit the one a single
 /// solve with a larger budget would have taken. Fallbacks and terminal
 /// failures are counted in the `sim/tile_fallbacks` / `sim/tile_failures`
-/// metrics, cache traffic in `sim/solve_cache_hits` / `_misses`.
-fn solve_array(
+/// metrics.
+fn resume_fallback(
     solver: &NonIdealSolver,
     g: &ConductanceMatrix,
     v: &[f64],
-    warm: Option<Warm<'_>>,
-) -> Result<(EffectiveSolve, NodeVoltages, bool)> {
-    let mode = cache::solve_cache_mode();
-    let key = if mode == CacheMode::Off {
-        None
-    } else {
-        Some(cache::solve_key(solver, g, v))
-    };
-    if let Some(key) = key {
-        if let Some(hit) = cache::lookup(key) {
-            xbar_obs::metrics::counter_add(names::SIM_SOLVE_CACHE_HITS, 1);
-            match mode {
-                // Replay the stored cold solve: extraction is pure, so this
-                // is bit-identical to the solve that populated the entry.
-                CacheMode::Full => {
-                    let solve = solver.extract(g, v, &hit.nodes)?;
-                    return Ok((solve, hit.nodes, hit.fallback));
-                }
-                // Verify-and-reuse: one sweep confirms the seed still meets
-                // tolerance (equal keys make failure impossible in practice,
-                // but fall through to the cold path if it ever happens).
-                CacheMode::Seed => {
-                    let nodes = solver.solve_nodes(g, v, Some(hit.nodes.warm()))?;
-                    if nodes.stats.converged {
-                        let solve = solver.extract(g, v, &nodes)?;
-                        return Ok((solve, nodes, false));
-                    }
-                }
-                CacheMode::Off => unreachable!("cache key computed with cache off"),
-            }
-        } else {
-            xbar_obs::metrics::counter_add(names::SIM_SOLVE_CACHE_MISSES, 1);
-        }
+    first: NodeVoltages,
+) -> Result<(NodeVoltages, bool)> {
+    if first.stats.converged {
+        return Ok((first, false));
     }
-    let caller_seeded = warm.is_some();
-    let first = solver.solve_nodes(g, v, warm)?;
-    let (nodes, fallback) = if first.stats.converged {
-        (first, false)
-    } else {
-        xbar_obs::metrics::counter_add(names::SIM_TILE_FALLBACKS, 1);
-        let abandoned = first.stats.iterations;
-        let mut retry = *solver;
-        retry.max_sweeps *= 4;
-        let mut resumed = retry.solve_nodes(g, v, Some(first.warm()))?;
-        // Total work of the single logical trajectory: the abandoned sweeps
-        // plus the resumed ones, each counted once.
-        resumed.stats.iterations += abandoned;
-        if !resumed.stats.converged {
-            xbar_obs::metrics::counter_add(names::SIM_TILE_FAILURES, 1);
-            return Err(SolveError::NoConvergence {
-                iterations: resumed.stats.iterations,
-                residual: resumed.stats.residual,
-            });
-        }
-        (resumed, true)
-    };
-    let solve = solver.extract(g, v, &nodes)?;
-    if !caller_seeded {
-        if let Some(key) = key {
-            cache::insert(key, nodes.clone(), fallback);
-        }
+    xbar_obs::metrics::counter_add(names::SIM_TILE_FALLBACKS, 1);
+    let abandoned = first.stats.iterations;
+    let mut retry = *solver;
+    retry.max_sweeps *= 4;
+    let mut resumed = retry.solve_nodes(g, v, Some(first.warm()))?;
+    // Total work of the single logical trajectory: the abandoned sweeps
+    // plus the resumed ones, each counted once.
+    resumed.stats.iterations += abandoned;
+    if !resumed.stats.converged {
+        xbar_obs::metrics::counter_add(names::SIM_TILE_FAILURES, 1);
+        return Err(SolveError::NoConvergence {
+            iterations: resumed.stats.iterations,
+            residual: resumed.stats.residual,
+        });
     }
-    Ok((solve, nodes, fallback))
+    Ok((resumed, true))
 }
 
 /// Batched column currents through one programmed conductance array,
-/// routed through the solve cache: the whole batch shares one key prefix
-/// ([`cache`] hashes the conductances once), cache hits replay or
-/// verify-and-reuse per [`CacheMode`], and the remaining cold elements are
-/// deduplicated by key — identical input vectors solve **once** and insert
-/// **once** — before solving together through
-/// [`NonIdealSolver::solve_nodes_batch`].
+/// routed through the process-wide solve cache: the whole batch shares one
+/// key prefix (the conductances are hashed once), cache hits replay their
+/// stored cold solves, and the misses are deduplicated by key — identical
+/// input vectors solve **once** and insert **once** — before solving
+/// together through [`NonIdealSolver::solve_nodes_batch`].
 ///
 /// Elements that miss the base sweep budget get the same 4× resume
 /// fallback as [`simulate_tile_seeded`]'s per-array solves (abandoned
@@ -425,6 +439,16 @@ fn solve_array(
 /// * [`SolveError::NoConvergence`] if any element still fails after the
 ///   fallback.
 pub fn solve_currents_batch(
+    solver: &NonIdealSolver,
+    g: &ConductanceMatrix,
+    vs: &[Vec<f64>],
+) -> Result<Vec<Vec<f64>>> {
+    solve_currents_batch_in(SolveCache::shared(), solver, g, vs)
+}
+
+/// [`solve_currents_batch`] through the given solve cache.
+fn solve_currents_batch_in(
+    cache: &SolveCache,
     solver: &NonIdealSolver,
     g: &ConductanceMatrix,
     vs: &[Vec<f64>],
@@ -443,60 +467,34 @@ pub fn solve_currents_batch(
             )));
         }
     }
-    if vs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mode = cache::solve_cache_mode();
-    if mode == CacheMode::Off {
-        return batch_with_fallback(solver, g, vs, None);
-    }
     let keys = cache::solve_keys_batch(solver, g, vs);
     let mut results: Vec<Option<Vec<f64>>> = vec![None; vs.len()];
-    let mut pending: Vec<usize> = Vec::new();
+    // Misses grouped by key: identical input vectors solve and insert once.
+    let mut by_key: HashMap<u128, usize> = HashMap::new();
+    let mut misses: Vec<(u128, Vec<usize>)> = Vec::new();
     for (idx, &key) in keys.iter().enumerate() {
-        let Some(hit) = cache::lookup(key) else {
-            xbar_obs::metrics::counter_add(names::SIM_SOLVE_CACHE_MISSES, 1);
-            pending.push(idx);
+        if let Some(hit) = cache.lookup(key) {
+            xbar_obs::metrics::counter_add(names::SIM_SOLVE_CACHE_HITS, 1);
+            results[idx] = Some(solver.currents_of(g, &hit.nodes)?);
             continue;
-        };
-        xbar_obs::metrics::counter_add(names::SIM_SOLVE_CACHE_HITS, 1);
-        match mode {
-            CacheMode::Full => results[idx] = Some(solver.currents_of(g, &hit.nodes)?),
-            CacheMode::Seed => {
-                let nodes = solver.solve_nodes(g, &vs[idx], Some(hit.nodes.warm()))?;
-                if nodes.stats.converged {
-                    results[idx] = Some(solver.currents_of(g, &nodes)?);
-                } else {
-                    pending.push(idx);
-                }
+        }
+        xbar_obs::metrics::counter_add(names::SIM_SOLVE_CACHE_MISSES, 1);
+        match by_key.entry(key) {
+            Entry::Occupied(slot) => misses[*slot.get()].1.push(idx),
+            Entry::Vacant(slot) => {
+                slot.insert(misses.len());
+                misses.push((key, vec![idx]));
             }
-            CacheMode::Off => unreachable!("cache keys computed with cache off"),
         }
     }
-    if !pending.is_empty() {
-        // Deduplicate the cold work by key: within a batch, identical
-        // input vectors share one solve and one cache insert.
-        let mut by_key: std::collections::HashMap<u128, usize> = std::collections::HashMap::new();
-        let mut unique_keys: Vec<u128> = Vec::new();
-        let mut members: Vec<Vec<usize>> = Vec::new();
-        for &idx in &pending {
-            match by_key.entry(keys[idx]) {
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    members[*slot.get()].push(idx);
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(unique_keys.len());
-                    unique_keys.push(keys[idx]);
-                    members.push(vec![idx]);
-                }
-            }
-        }
-        let cold_vs: Vec<Vec<f64>> = members.iter().map(|m| vs[m[0]].clone()).collect();
-        let currents = batch_with_fallback(solver, g, &cold_vs, Some(&unique_keys))?;
-        for (m, cur) in members.iter().zip(currents) {
-            for &idx in m {
-                results[idx] = Some(cur.clone());
-            }
+    let cold_vs: Vec<Vec<f64>> = misses.iter().map(|(_, m)| vs[m[0]].clone()).collect();
+    let solved = solver.solve_nodes_batch(g, &cold_vs)?;
+    for ((first, v), (key, members)) in solved.into_iter().zip(&cold_vs).zip(misses) {
+        let (nodes, fallback) = resume_fallback(solver, g, v, first)?;
+        let currents = solver.currents_of(g, &nodes)?;
+        cache.insert(key, nodes, fallback);
+        for idx in members {
+            results[idx] = Some(currents.clone());
         }
     }
     Ok(results
@@ -505,57 +503,10 @@ pub fn solve_currents_batch(
         .collect())
 }
 
-/// Cold-solves a batch and applies the per-element 4× resume fallback on
-/// sweep-cap misses (abandoned sweeps counted once, exactly like
-/// [`solve_array`]). When `insert_keys` is given, each solved element is
-/// inserted into the cache under its key — once per element, since the
-/// caller already deduplicated.
-fn batch_with_fallback(
-    solver: &NonIdealSolver,
-    g: &ConductanceMatrix,
-    vs: &[Vec<f64>],
-    insert_keys: Option<&[u128]>,
-) -> Result<Vec<Vec<f64>>> {
-    let solved = solver.solve_nodes_batch(g, vs)?;
-    solved
-        .into_iter()
-        .zip(vs)
-        .enumerate()
-        .map(|(idx, (first, v))| {
-            let (nodes, fallback) = if first.stats.converged {
-                (first, false)
-            } else {
-                xbar_obs::metrics::counter_add(names::SIM_TILE_FALLBACKS, 1);
-                let abandoned = first.stats.iterations;
-                let mut retry = *solver;
-                retry.max_sweeps *= 4;
-                let mut resumed = retry.solve_nodes(g, v, Some(first.warm()))?;
-                resumed.stats.iterations += abandoned;
-                if !resumed.stats.converged {
-                    xbar_obs::metrics::counter_add(names::SIM_TILE_FAILURES, 1);
-                    return Err(SolveError::NoConvergence {
-                        iterations: resumed.stats.iterations,
-                        residual: resumed.stats.residual,
-                    });
-                }
-                (resumed, true)
-            };
-            let currents = solver.currents_of(g, &nodes)?;
-            if let Some(keys) = insert_keys {
-                cache::insert(keys[idx], nodes, fallback);
-            }
-            Ok(currents)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serialises tests that flip the process-global cache mode.
-    static CACHE_TEST_LOCK: Mutex<()> = Mutex::new(());
+    use proptest::prelude::*;
 
     fn rand_tile(rows: usize, cols: usize, seed: u64, amp: f32) -> Tensor {
         let mut s = seed;
@@ -813,68 +764,62 @@ mod tests {
 
     #[test]
     fn cached_and_warm_started_tiles_match_cold_bitwise() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prior = cache::solve_cache_mode();
         let params = CrossbarParams::with_size(16);
         let tile = rand_tile(16, 16, 42, 1.0);
-        let run = || {
-            simulate_tile(
+        let run = |cache: &SolveCache, warm: Option<&TileSolveState>| {
+            simulate_tile_in(
+                cache,
                 &tile,
                 MappingScale::PerTileMax,
                 1.0,
                 &params,
                 SolveMethod::LineRelaxation,
                 9,
+                warm,
             )
             .unwrap()
         };
-        cache::set_solve_cache_mode(CacheMode::Off);
-        let cold = run();
-        // Full mode: populate cold, then a hit replays the stored solve —
-        // weights AND stats bit-identical.
-        cache::set_solve_cache_mode(CacheMode::Full);
-        cache::clear_solve_cache();
-        let populate = run();
-        assert_eq!(populate.weights, cold.weights);
-        assert_eq!(populate.stats, cold.stats);
-        let hit = run();
+        let cache = SolveCache::default();
+        let (cold, state) = run(&cache, None);
+        assert_eq!(cache.len(), 2, "one entry per array");
+        // A hit replays the stored cold solve: weights AND stats
+        // bit-identical.
+        let (hit, _) = run(&cache, None);
         assert_eq!(hit.weights, cold.weights);
         assert_eq!(hit.stats, cold.stats);
         assert_eq!(hit.fallback, cold.fallback);
-        // Seed mode: the hit warm-starts a verifying solve — weights still
-        // bit-identical, stats honestly ~1 sweep per array.
-        cache::set_solve_cache_mode(CacheMode::Seed);
-        let seeded = run();
-        assert_eq!(seeded.weights, cold.weights);
+        // A verified warm start from the cold state, on an empty cache so it
+        // cannot hit: weights still bit-identical, stats honestly ~1 sweep
+        // per array.
+        let (warm, _) = run(&SolveCache::default(), Some(&state));
+        assert_eq!(warm.weights, cold.weights);
         assert!(
-            seeded.stats.iterations < cold.stats.iterations,
+            warm.stats.iterations < cold.stats.iterations,
             "verified reuse must be cheaper: {} vs {} sweeps",
-            seeded.stats.iterations,
+            warm.stats.iterations,
             cold.stats.iterations
         );
-        cache::set_solve_cache_mode(prior);
     }
 
     #[test]
     fn caller_seeded_resimulation_matches_cold_within_tolerance() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prior = cache::solve_cache_mode();
-        cache::set_solve_cache_mode(CacheMode::Off);
         let params = CrossbarParams::with_size(12);
         let tile = rand_tile(12, 12, 7, 1.0);
-        let cold = |t: &Tensor| {
-            simulate_tile_seeded(
+        // Every run on an empty cache, so none of them replays another.
+        let run = |t: &Tensor, warm: Option<&TileSolveState>| {
+            simulate_tile_in(
+                &SolveCache::default(),
                 t,
                 MappingScale::PerTileMax,
                 1.0,
                 &params,
                 SolveMethod::LineRelaxation,
                 4,
-                None,
+                warm,
             )
             .unwrap()
         };
-        let (base, state) = cold(&tile);
+        let (_, state) = run(&tile, None);
         // Re-simulate a column-swapped variant warm-started from the
         // permuted base state; compare with its cold solve.
         let mut swapped = tile.clone();
@@ -883,18 +828,9 @@ mod tests {
             swapped.set2(r, 2, b);
             swapped.set2(r, 9, a);
         }
-        let (cold_swap, _) = cold(&swapped);
+        let (cold_swap, _) = run(&swapped, None);
         let seed = state.swap_columns(12, &[(2, 9)]);
-        let (warm_swap, _) = simulate_tile_seeded(
-            &swapped,
-            MappingScale::PerTileMax,
-            1.0,
-            &params,
-            SolveMethod::LineRelaxation,
-            4,
-            Some(&seed),
-        )
-        .unwrap();
+        let (warm_swap, _) = run(&swapped, Some(&seed));
         assert!(
             warm_swap.stats.iterations <= cold_swap.stats.iterations,
             "warm start must not do more work: {} vs {}",
@@ -911,15 +847,10 @@ mod tests {
         {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
-        let _ = base;
-        cache::set_solve_cache_mode(prior);
     }
 
     #[test]
     fn fallback_resume_is_bit_identical_and_counts_sweeps_once() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prior = cache::solve_cache_mode();
-        cache::set_solve_cache_mode(CacheMode::Off);
         let params = CrossbarParams::with_size(16);
         let g = {
             let mut g = ConductanceMatrix::filled(16, 16, 0.0);
@@ -941,7 +872,8 @@ mod tests {
         };
         let v = vec![params.v_read; 16];
         let solver = NonIdealSolver::new(params, SolveMethod::LineRelaxation);
-        let (cold, _, cold_fb) = solve_array(&solver, &g, &v, None).unwrap();
+        let (cold, _, cold_fb) =
+            solve_array(&SolveCache::default(), &solver, &g, &v, None).unwrap();
         assert!(!cold_fb);
         let n = cold.stats.iterations;
         assert!(n >= 2, "need a multi-sweep solve to starve ({n} sweeps)");
@@ -950,7 +882,8 @@ mod tests {
         // count the abandoned sweeps exactly once.
         let mut starved = solver;
         starved.max_sweeps = n - 1;
-        let (fb, _, used_fallback) = solve_array(&starved, &g, &v, None).unwrap();
+        let (fb, _, used_fallback) =
+            solve_array(&SolveCache::default(), &starved, &g, &v, None).unwrap();
         assert!(used_fallback);
         assert_eq!(fb.g_eff.as_slice(), cold.g_eff.as_slice());
         assert_eq!(fb.col_currents, cold.col_currents);
@@ -958,7 +891,6 @@ mod tests {
             fb.stats.iterations, n,
             "abandoned sweeps must be counted exactly once"
         );
-        cache::set_solve_cache_mode(prior);
     }
 
     fn rand_g(n: usize, seed: u64, params: &CrossbarParams) -> ConductanceMatrix {
@@ -982,8 +914,6 @@ mod tests {
 
     #[test]
     fn batched_tile_currents_match_singles_and_insert_once() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prior = cache::solve_cache_mode();
         let n = 10usize;
         let params = CrossbarParams::with_size(16);
         let g = rand_g(n, 77, &params);
@@ -1001,39 +931,31 @@ mod tests {
             .iter()
             .map(|v| solver.column_currents(&g, v).unwrap())
             .collect();
-        for mode in [CacheMode::Off, CacheMode::Full, CacheMode::Seed] {
-            cache::set_solve_cache_mode(mode);
-            cache::clear_solve_cache();
-            let batch = solve_currents_batch(&solver, &g, &vs).unwrap();
-            assert_eq!(batch, singles, "{mode:?} cold batch vs singles");
-            let expect_len = if mode == CacheMode::Off { 0 } else { 3 };
-            assert_eq!(
-                cache::solve_cache_len(),
-                expect_len,
-                "{mode:?}: one insert per unique vector, duplicates share"
-            );
-            // Replay entirely from the cache (where enabled): still equal,
-            // and no further inserts.
-            let again = solve_currents_batch(&solver, &g, &vs).unwrap();
-            assert_eq!(again, singles, "{mode:?} warm batch vs singles");
-            assert_eq!(cache::solve_cache_len(), expect_len);
-        }
-        cache::clear_solve_cache();
-        cache::set_solve_cache_mode(prior);
+        let cache = SolveCache::default();
+        let batch = solve_currents_batch_in(&cache, &solver, &g, &vs).unwrap();
+        assert_eq!(batch, singles, "cold batch vs singles");
+        assert_eq!(
+            cache.len(),
+            3,
+            "one insert per unique vector, duplicates share"
+        );
+        // Replay entirely from the cache: still equal, and no further
+        // inserts.
+        let again = solve_currents_batch_in(&cache, &solver, &g, &vs).unwrap();
+        assert_eq!(again, singles, "cached batch vs singles");
+        assert_eq!(cache.len(), 3);
     }
 
     /// Property sweep for the batched solver: over tile edges that are not
-    /// multiples of the 8-wide lane chunk, batch sizes {1, 2, 7, 32}, and
-    /// every cache mode, with stuck-at faults injected and the conductances
-    /// routed through the drift layer at `dt = 0` (a bit-identical
-    /// passthrough by contract), the batched currents must equal the
-    /// single-vector path's bit for bit — cold and on cache replay.
+    /// multiples of the 8-wide lane chunk and batch sizes {1, 2, 7, 32},
+    /// with stuck-at faults injected and the conductances routed through
+    /// the drift layer at `dt = 0` (a bit-identical passthrough by
+    /// contract), the batched currents must equal the single-vector path's
+    /// bit for bit — cold on an empty cache and on cache replay.
     #[test]
     fn property_batched_currents_bitwise_match_singles() {
         use crate::drift::{DriftModel, ProgrammedPair};
         use crate::faults::FaultModel;
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prior = cache::solve_cache_mode();
         for n in [5usize, 9, 13] {
             let params = CrossbarParams::with_size(n.max(8));
             let mut g = rand_g(n, 0xF00D ^ n as u64, &params);
@@ -1068,24 +990,19 @@ mod tests {
                     .iter()
                     .map(|v| solver.column_currents(&g, v).unwrap())
                     .collect();
-                for mode in [CacheMode::Off, CacheMode::Full, CacheMode::Seed] {
-                    cache::set_solve_cache_mode(mode);
-                    cache::clear_solve_cache();
-                    let cold = solve_currents_batch(&solver, &g, &vs).unwrap();
-                    assert!(
-                        bits_eq(&cold, &singles),
-                        "n={n} nb={nb} {mode:?}: cold batch diverged from singles"
-                    );
-                    let warm = solve_currents_batch(&solver, &g, &vs).unwrap();
-                    assert!(
-                        bits_eq(&warm, &singles),
-                        "n={n} nb={nb} {mode:?}: cache replay diverged from singles"
-                    );
-                }
+                let cache = SolveCache::default();
+                let cold = solve_currents_batch_in(&cache, &solver, &g, &vs).unwrap();
+                assert!(
+                    bits_eq(&cold, &singles),
+                    "n={n} nb={nb}: cold batch diverged from singles"
+                );
+                let replay = solve_currents_batch_in(&cache, &solver, &g, &vs).unwrap();
+                assert!(
+                    bits_eq(&replay, &singles),
+                    "n={n} nb={nb}: cache replay diverged from singles"
+                );
             }
         }
-        cache::clear_solve_cache();
-        cache::set_solve_cache_mode(prior);
     }
 
     fn bits_eq(a: &[Vec<f64>], b: &[Vec<f64>]) -> bool {
@@ -1097,12 +1014,12 @@ mod tests {
 
     #[test]
     fn stale_shape_warm_seed_falls_back_to_cold_bitwise() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prior = cache::solve_cache_mode();
-        cache::set_solve_cache_mode(CacheMode::Off);
         let params = CrossbarParams::with_size(12);
+        // Every run on an empty cache, so the seeded run cannot replay the
+        // cold one.
         let run = |t: &Tensor, warm: Option<&TileSolveState>| {
-            simulate_tile_seeded(
+            simulate_tile_in(
+                &SolveCache::default(),
                 t,
                 MappingScale::PerTileMax,
                 1.0,
@@ -1126,15 +1043,11 @@ mod tests {
             "stale seed must cost nothing extra"
         );
         assert_eq!(warmed.fallback, cold.fallback);
-        cache::set_solve_cache_mode(prior);
     }
 
     #[test]
     #[should_panic(expected = "not a whole number")]
     fn swap_columns_rejects_mismatched_geometry() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prior = cache::solve_cache_mode();
-        cache::set_solve_cache_mode(CacheMode::Off);
         let params = CrossbarParams::with_size(8);
         let (_, state) = simulate_tile_seeded(
             &rand_tile(8, 8, 17, 1.0),
@@ -1146,7 +1059,6 @@ mod tests {
             None,
         )
         .unwrap();
-        cache::set_solve_cache_mode(prior);
         // 64 voltages are not a whole number of 5-wide rows.
         let _ = state.swap_columns(5, &[(0, 1)]);
     }
@@ -1186,5 +1098,73 @@ mod tests {
         )
         .unwrap();
         assert!(out.low_g_fraction > 0.95);
+    }
+
+    fn weight_tile() -> impl Strategy<Value = Tensor> {
+        (3usize..9, 3usize..7).prop_flat_map(|(rows, cols)| {
+            proptest::collection::vec(-1.2f32..1.2, rows * cols)
+                .prop_map(move |data| Tensor::from_vec(data, &[rows, cols]).expect("consistent"))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The solve cache must be invisible: random tiles simulated under
+        /// differing variation seeds and circuit parameters, populated into
+        /// one cache and then replayed from it, are bit-identical to each
+        /// combination solved on an empty cache, and the cache holds exactly
+        /// one entry per distinct array. A mis-keyed cache (one that ignored
+        /// the conductance content, the parasitics, or the voltage vector)
+        /// would hand a tile some other tile's solution, or hold too few
+        /// entries, within a case or two.
+        #[test]
+        fn solve_cache_is_keyed_correctly_across_seeds_and_params(
+            tile in weight_tile(),
+            seed_a in 0u64..200,
+            seed_b in 200u64..400,
+            wire_scale in 1u32..4,
+        ) {
+            let mut params_a = CrossbarParams::with_size(8);
+            params_a.sigma_variation = 0.05;
+            let mut params_b = params_a;
+            params_b.r_wire_row *= f64::from(wire_scale);
+            let combos = [
+                (seed_a, params_a), (seed_b, params_a),
+                (seed_a, params_b), (seed_b, params_b),
+            ];
+            let run = |cache: &SolveCache, seed: u64, params: &CrossbarParams| {
+                simulate_tile_in(
+                    cache, &tile, MappingScale::PerTileMax, 1.0, params,
+                    SolveMethod::LineRelaxation, seed, None,
+                )
+                .unwrap()
+                .0
+            };
+            let cold: Vec<TileOutcome> = combos
+                .iter()
+                .map(|(seed, params)| run(&SolveCache::default(), *seed, params))
+                .collect();
+            // Two arrays per combination; at `wire_scale == 1` the last two
+            // combinations repeat the first two.
+            let distinct = if wire_scale == 1 { 4 } else { 8 };
+            let cache = SolveCache::default();
+            let run_all = || -> Vec<TileOutcome> {
+                combos.iter().map(|(seed, params)| run(&cache, *seed, params)).collect()
+            };
+            let populate = run_all();
+            prop_assert_eq!(cache.len(), distinct);
+            // Each combination must hit its own entry, not a neighbour's.
+            let replay = run_all();
+            prop_assert_eq!(cache.len(), distinct);
+            for (k, ((c, p), r)) in cold.iter().zip(&populate).zip(&replay).enumerate() {
+                prop_assert_eq!(&c.weights, &p.weights, "combo {} differed while populating", k);
+                prop_assert_eq!(&c.weights, &r.weights, "combo {} differed on cache replay", k);
+                prop_assert_eq!(c.stats, r.stats, "combo {} replayed other stats", k);
+            }
+            // Different seeds genuinely produce different devices — the cache
+            // had real discrimination work to do above.
+            prop_assert!(cold[0].weights != cold[1].weights, "different seeds must differ");
+        }
     }
 }
