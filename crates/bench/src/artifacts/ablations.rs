@@ -54,7 +54,7 @@ pub fn mapping_scale(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     let mut out = ArtifactOutput::default();
     let sc = cf_vgg11_scenario(ctx);
     let data = sc.dataset();
-    let mut tm = sc.train_model_cached(&data);
+    let mut tm = sc.train_model_cached(&data, &ctx.results);
     let train_ref = DataRef::new(data.images(Split::Train), data.labels(Split::Train))
         .map_err(|e| format!("dataset: {e}"))?;
     let constraint: Option<&dyn WeightConstraint> =
@@ -165,7 +165,7 @@ pub fn rearrange(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     let mut out = ArtifactOutput::default();
     let sc = cf_vgg11_scenario(ctx);
     let data = sc.dataset();
-    let tm = sc.train_model_cached(&data);
+    let tm = sc.train_model_cached(&data, &ctx.results);
     let mut table = Table::new(
         "Ablation A3: R column-order policy (VGG11/CIFAR10-like, C/F s = 0.8)",
         &[
@@ -232,7 +232,7 @@ pub fn bn_recalibration(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     for sc in none_and_cf_scenarios(ctx) {
         let method = sc.method;
         let data = sc.dataset();
-        let tm = sc.train_model_cached(&data);
+        let tm = sc.train_model_cached(&data, &ctx.results);
         let cfg = map_config(&tm, 64, ctx.seed);
         let (mapped, _) = xbar_core::pipeline::map_to_crossbars(&tm.model, &cfg)
             .map_err(|e| format!("map: {e}"))?;
@@ -287,7 +287,7 @@ pub fn robustness(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
         .into_iter()
         .map(|sc| {
             let data = sc.dataset();
-            let tm = sc.train_model_cached(&data);
+            let tm = sc.train_model_cached(&data, &ctx.results);
             (tm, data)
         })
         .collect();

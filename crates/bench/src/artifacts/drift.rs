@@ -30,7 +30,7 @@
 //! caps the unmitigated drop well under the floor).
 
 use super::{ArtifactCtx, ArtifactOutput};
-use crate::report::{pct, results_dir, Table};
+use crate::report::{pct, Table};
 use crate::runner::map_config;
 use crate::scenario::Scenario;
 use crate::DatasetKind;
@@ -246,7 +246,7 @@ pub fn drift_sweep(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     let mut gate_recovery_pp = f64::NAN;
     for sc in drift_scenarios(ctx) {
         let data = sc.dataset();
-        let tm = sc.train_model_cached(&data);
+        let tm = sc.train_model_cached(&data, &ctx.results);
         let mut cfg = map_config(&tm, DRIFT_SIZE, ctx.seed);
         cfg.params.drift = drift;
         let (mut mapped, _) =
@@ -335,11 +335,7 @@ pub fn drift_sweep(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
         ("gate_recovery_pp".into(), Json::Num(gate_recovery_pp)),
         ("methods".into(), Json::Arr(method_entries)),
     ]);
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create results directory: {e}"))?;
-    let path = dir.join("BENCH_drift.json");
-    std::fs::write(&path, json.to_json() + "\n")
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    let path = ctx.write_json(&json, &mut out, "BENCH_drift.json")?;
     if !ctx.quiet {
         println!(
             "drift mitigation recovery at the {GATE_DECAY:.0e} horizon: {gate_recovery_pp:.1}pp \
@@ -347,7 +343,6 @@ pub fn drift_sweep(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
             path.display()
         );
     }
-    out.outputs.push(path);
     out.key("drift_recovery_pp", gate_recovery_pp);
 
     if !gate_recovery_pp.is_finite() || gate_recovery_pp < RECOVERY_FLOOR_PP {

@@ -4,7 +4,7 @@
 //! calls, one panel per artifact.
 
 use super::{ArtifactCtx, ArtifactOutput};
-use crate::report::{pct, results_dir, Table};
+use crate::report::{pct, Table};
 use crate::runner::{crossbar_accuracy_avg, map_config, DEFAULT_REPS, SIZES};
 use crate::scenario::Scenario;
 use crate::{DatasetKind, TrainedModel};
@@ -106,7 +106,7 @@ pub fn fig3_panel(ctx: &ArtifactCtx, panel: &str) -> Result<ArtifactOutput, Stri
                 let sc = Scenario::new(variant, DatasetKind::Cifar10Like, method, ctx.scale)
                     .with_seed(ctx.seed);
                 let data = sc.dataset();
-                let tm = sc.train_model_cached(&data);
+                let tm = sc.train_model_cached(&data, &ctx.results);
                 let mut row = vec![method.to_string(), pct(tm.software_accuracy)];
                 for size in SIZES {
                     let cfg = map_config(&tm, size, ctx.seed);
@@ -146,7 +146,7 @@ pub fn fig3_panel(ctx: &ArtifactCtx, panel: &str) -> Result<ArtifactOutput, Stri
                 .with_seed(ctx.seed)
                 .with_sparsity(s);
                 let data = sc.dataset();
-                let tm = sc.train_model_cached(&data);
+                let tm = sc.train_model_cached(&data, &ctx.results);
                 let mut row = vec![format!("{s:.2}"), pct(tm.software_accuracy)];
                 for size in SIZES {
                     let cfg = map_config(&tm, size, ctx.seed);
@@ -179,7 +179,7 @@ pub fn fig3_panel(ctx: &ArtifactCtx, panel: &str) -> Result<ArtifactOutput, Stri
                 )
                 .with_seed(ctx.seed);
                 let data = sc.dataset();
-                let tm = sc.train_model_cached(&data);
+                let tm = sc.train_model_cached(&data, &ctx.results);
                 let mut nfs = Vec::new();
                 for size in [32usize, 64] {
                     let cfg = map_config(&tm, size, ctx.seed);
@@ -227,7 +227,7 @@ pub fn fig3f(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     let mut out = ArtifactOutput::default();
     let sc = fig3f_scenarios(ctx).remove(0);
     let data = sc.dataset();
-    let tm = sc.train_model_cached(&data);
+    let tm = sc.train_model_cached(&data, &ctx.results);
     let unrolled = unrolled_matrices(&tm.model);
     let mut table = Table::new(
         "Fig 3(f): column clustering score before/after R (lower = more clustered)",
@@ -239,8 +239,8 @@ pub fn fig3f(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
             "Best reduction (%)",
         ],
     );
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create results dir: {e}"))?;
+    let dir = &ctx.results;
+    std::fs::create_dir_all(dir).map_err(|e| format!("create results dir: {e}"))?;
     // The paper shows the 3rd and 5th conv layers (1-indexed).
     for conv_ordinal in [3usize, 5] {
         let ul = &unrolled[conv_ordinal - 1];
@@ -364,12 +364,12 @@ pub fn fig4_panel(ctx: &ArtifactCtx, panel: &str) -> Result<ArtifactOutput, Stri
         let unpruned =
             Scenario::new(variant, dataset, PruneMethod::None, ctx.scale).with_seed(seed);
         let data = unpruned.dataset();
-        let tm_unpruned = unpruned.train_model_cached(&data);
+        let tm_unpruned = unpruned.train_model_cached(&data, &ctx.results);
         let row = accuracy_row(&mut out, "unpruned", &tm_unpruned, &data, seed, None, None);
         table.push_row(row);
         let cf =
             Scenario::new(variant, dataset, PruneMethod::ChannelFilter, ctx.scale).with_seed(seed);
-        let tm_cf = cf.train_model_cached(&data);
+        let tm_cf = cf.train_model_cached(&data, &ctx.results);
         let row = accuracy_row(&mut out, "C/F", &tm_cf, &data, seed, None, None);
         table.push_row(row);
         let row = accuracy_row(
@@ -409,7 +409,7 @@ pub fn fig4_panel(ctx: &ArtifactCtx, panel: &str) -> Result<ArtifactOutput, Stri
     let unpruned =
         Scenario::new(VggVariant::Vgg11, dataset, PruneMethod::None, ctx.scale).with_seed(seed);
     let data = unpruned.dataset();
-    let tm_unpruned = unpruned.train_model_cached(&data);
+    let tm_unpruned = unpruned.train_model_cached(&data, &ctx.results);
     let row = accuracy_row(&mut out, "unpruned", &tm_unpruned, &data, seed, None, None);
     table.push_row(row);
     let cf = Scenario::new(
@@ -419,7 +419,7 @@ pub fn fig4_panel(ctx: &ArtifactCtx, panel: &str) -> Result<ArtifactOutput, Stri
         ctx.scale,
     )
     .with_seed(seed);
-    let tm_cf = cf.train_model_cached(&data);
+    let tm_cf = cf.train_model_cached(&data, &ctx.results);
     let row = accuracy_row(&mut out, "C/F", &tm_cf, &data, seed, None, None);
     table.push_row(row);
     // WCT on top of the C/F model: clamp + 2-epoch constrained retrain,
@@ -429,11 +429,6 @@ pub fn fig4_panel(ctx: &ArtifactCtx, panel: &str) -> Result<ArtifactOutput, Stri
         .map_err(|e| format!("dataset well-formed: {e}"))?;
     let mut wct_cfg = WctConfig::default();
     wct_cfg.train.batch_size = ctx.scale.batch_size;
-    if let Ok(q) = std::env::var("XBAR_WCT_Q") {
-        wct_cfg.quantile = q
-            .parse()
-            .map_err(|e| format!("XBAR_WCT_Q must be a float: {e}"))?;
-    }
     let constraint: Option<&dyn WeightConstraint> =
         tm_wct.masks.as_ref().map(|m| m as &dyn WeightConstraint);
     let outcome = apply_wct(&mut tm_wct.model, train_ref, &wct_cfg, constraint)

@@ -6,8 +6,9 @@
 //!
 //! Each artifact is described by an [`ArtifactSpec`]:
 //!
-//! * `run` regenerates the artifact (tables/CSVs/JSON under `results/`) and
-//!   reports which files it wrote plus a few key numbers;
+//! * `run` regenerates the artifact (tables/CSVs/JSON in the context's
+//!   results directory) and reports which files it wrote plus a few key
+//!   numbers;
 //! * `scenarios` enumerates every train-and-cache scenario the artifact
 //!   will consume, letting the orchestrator train each *unique* scenario
 //!   exactly once before any artifact runs;
@@ -29,11 +30,13 @@ pub mod tables;
 use crate::report::Table;
 use crate::scenario::{ExperimentScale, Scenario};
 use std::path::PathBuf;
+use xbar_obs::json::Json;
 
 /// Everything an artifact generator needs to know about the run: the scale
-/// preset, the master seed, and whether to keep stdout quiet (the suite
-/// runs artifacts concurrently, where interleaved markdown is noise).
-#[derive(Debug, Clone, Copy)]
+/// preset, the master seed, where its outputs go, and whether to keep
+/// stdout quiet (the suite runs artifacts concurrently, where interleaved
+/// markdown is noise).
+#[derive(Debug, Clone)]
 pub struct ArtifactCtx {
     /// Experiment scale preset.
     pub scale: ExperimentScale,
@@ -41,17 +44,26 @@ pub struct ArtifactCtx {
     pub scale_name: &'static str,
     /// Master seed.
     pub seed: u64,
+    /// The results directory: CSVs, BENCH files, default artifact paths and
+    /// the trained-model cache (`cache/`) all live here.
+    pub results: PathBuf,
     /// Suppress per-table stdout printing (CSV files are always written).
     pub quiet: bool,
 }
 
 impl ArtifactCtx {
     /// A context printing tables to stdout — the standalone-binary default.
-    pub fn new(scale: ExperimentScale, scale_name: &'static str, seed: u64) -> Self {
+    pub fn new(
+        scale: ExperimentScale,
+        scale_name: &'static str,
+        seed: u64,
+        results: PathBuf,
+    ) -> Self {
         ArtifactCtx {
             scale,
             scale_name,
             seed,
+            results,
             quiet: false,
         }
     }
@@ -62,8 +74,8 @@ impl ArtifactCtx {
         self
     }
 
-    /// Prints the table (unless quiet), writes its CSV under `results/`,
-    /// and records the written path in `out`.
+    /// Prints the table (unless quiet), writes its CSV in the results
+    /// directory, and records the written path in `out`.
     pub(crate) fn emit(
         &self,
         table: &Table,
@@ -74,7 +86,7 @@ impl ArtifactCtx {
             println!("{}", table.to_markdown());
         }
         let path = table
-            .write_csv(file_stem)
+            .write_csv(&self.results, file_stem)
             .map_err(|e| format!("writing {file_stem}.csv: {e}"))?;
         if !self.quiet {
             println!("[csv written to {}]", path.display());
@@ -82,13 +94,30 @@ impl ArtifactCtx {
         out.outputs.push(path);
         Ok(())
     }
+
+    /// Writes `json` (one line) as `file` in the results directory, records
+    /// the written path in `out`, and returns it.
+    pub(crate) fn write_json(
+        &self,
+        json: &Json,
+        out: &mut ArtifactOutput,
+        file: &str,
+    ) -> Result<PathBuf, String> {
+        std::fs::create_dir_all(&self.results)
+            .map_err(|e| format!("create results directory: {e}"))?;
+        let path = self.results.join(file);
+        std::fs::write(&path, json.to_json() + "\n")
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        out.outputs.push(path.clone());
+        Ok(path)
+    }
 }
 
 /// What an artifact produced: the files it wrote and the key numbers worth
 /// surfacing in `results/suite.json` (accuracies, speedups).
 #[derive(Debug, Clone, Default)]
 pub struct ArtifactOutput {
-    /// Files written under `results/`.
+    /// Files written in the results directory.
     pub outputs: Vec<PathBuf>,
     /// Named scalar results, in insertion order.
     pub key_numbers: Vec<(String, f64)>,
@@ -421,7 +450,7 @@ mod tests {
 
     #[test]
     fn scenario_enumeration_is_deterministic() {
-        let ctx = ArtifactCtx::new(ExperimentScale::smoke(), "smoke", 42);
+        let ctx = ArtifactCtx::new(ExperimentScale::smoke(), "smoke", 42, PathBuf::new());
         for spec in registry() {
             let a: Vec<String> = (spec.scenarios)(&ctx)
                 .iter()

@@ -3,7 +3,7 @@
 //! orchestrator and the `map` binary.
 
 use super::{ArtifactCtx, ArtifactOutput};
-use crate::report::{pct, results_dir, Table};
+use crate::report::{pct, Table};
 use crate::runner::map_config;
 use crate::scenario::Scenario;
 use crate::DatasetKind;
@@ -67,10 +67,10 @@ pub fn map_artifact(
     let artifact_path = opts
         .out
         .clone()
-        .unwrap_or_else(|| results_dir().join("model.xbarmdl"));
+        .unwrap_or_else(|| ctx.results.join("model.xbarmdl"));
     let sc = map_artifact_scenarios(ctx, opts).remove(0);
     let data = sc.dataset();
-    let tm = sc.train_model_cached(&data);
+    let tm = sc.train_model_cached(&data, &ctx.results);
     let cfg = map_config(&tm, opts.size, ctx.seed);
     let (mut noisy, report) =
         map_to_crossbars(&tm.model, &cfg).map_err(|e| format!("mapping pipeline: {e}"))?;
@@ -230,18 +230,13 @@ pub fn perf(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
             Json::Bool(bit_identical_cached),
         ),
     ]);
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create results directory: {e}"))?;
-    let path = dir.join("BENCH_map.json");
-    std::fs::write(&path, json.to_json() + "\n")
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    let path = ctx.write_json(&json, &mut out, "BENCH_map.json")?;
     if !ctx.quiet {
         println!(
             "cold {cold_s:.3}s | cached {cached_s:.3}s ({speedup_cached:.1}x) -> {}",
             path.display()
         );
     }
-    out.outputs.push(path);
     out.key("cold_s", cold_s);
     out.key("cached_s", cached_s);
     out.key("speedup_cached", speedup_cached);

@@ -18,7 +18,6 @@
 
 use super::{ArtifactCtx, ArtifactOutput};
 use crate::loadcore::{self, LoadConfig};
-use crate::report::results_dir;
 use std::time::Duration;
 use xbar_core::pipeline::{map_to_crossbars, MapConfig};
 use xbar_core::{save_artifact_to_file, ArtifactMeta};
@@ -196,9 +195,8 @@ pub fn serve_bench(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     let p99_us = stats.quantile_us(0.99) as f64;
     let shed_rate = stats.shed_rate();
 
-    let results = results_dir();
-    std::fs::create_dir_all(&results).map_err(|e| format!("create results directory: {e}"))?;
-    let hist_path = results.join("serve_hist.jsonl");
+    std::fs::create_dir_all(&ctx.results).map_err(|e| format!("create results directory: {e}"))?;
+    let hist_path = ctx.results.join("serve_hist.jsonl");
     loadcore::write_histogram_jsonl(&hist_path, &stats.latency)?;
     let json = Json::Obj(vec![
         ("bin".into(), Json::Str("serve".into())),
@@ -226,9 +224,7 @@ pub fn serve_bench(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
             Json::Bool(bit_identical_replicas),
         ),
     ]);
-    let path = results.join("BENCH_serve.json");
-    std::fs::write(&path, json.to_json() + "\n")
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    let path = ctx.write_json(&json, &mut out, "BENCH_serve.json")?;
     if !ctx.quiet {
         println!(
             "{connections} conns x {requests} reqs: {throughput_rps:.0} req/s served, \
@@ -240,7 +236,6 @@ pub fn serve_bench(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
             path.display()
         );
     }
-    out.outputs.push(path);
     out.outputs.push(hist_path);
     out.key("throughput_rps", throughput_rps);
     out.key("p50_us", p50_us);

@@ -11,7 +11,6 @@
 //! additionally compares the fresh numbers against the committed baseline.
 
 use super::{ArtifactCtx, ArtifactOutput};
-use crate::report::results_dir;
 use std::time::Instant;
 use xbar_obs::json::Json;
 use xbar_sim::params::CrossbarParams;
@@ -185,11 +184,7 @@ pub fn solve_bench(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
             Json::Bool(bit_identical_batch),
         ),
     ]);
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create results directory: {e}"))?;
-    let path = dir.join("BENCH_solve.json");
-    std::fs::write(&path, json.to_json() + "\n")
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    let path = ctx.write_json(&json, &mut out, "BENCH_solve.json")?;
     if !ctx.quiet {
         println!(
             "scalar {scalar_solves_per_s:.0}/s | batched {batch_solves_per_s:.0}/s \
@@ -197,7 +192,6 @@ pub fn solve_bench(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
             path.display()
         );
     }
-    out.outputs.push(path);
     out.key("scalar_solves_per_s", scalar_solves_per_s);
     out.key("tile_solves_per_s", batch_solves_per_s);
     out.key("speedup_batch", speedup_batch);

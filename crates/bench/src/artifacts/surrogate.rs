@@ -12,7 +12,7 @@
 //! the speedup at the gate size drops below [`SPEEDUP_FLOOR`].
 
 use super::{ArtifactCtx, ArtifactOutput};
-use crate::report::{pct, results_dir, Table};
+use crate::report::{pct, Table};
 use crate::runner::map_config;
 use crate::scenario::Scenario;
 use crate::DatasetKind;
@@ -116,7 +116,7 @@ pub fn surrogate_accuracy(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     );
     for sc in surrogate_scenarios(ctx) {
         let data = sc.dataset();
-        let tm = sc.train_model_cached(&data);
+        let tm = sc.train_model_cached(&data, &ctx.results);
         let cfg = map_config(&tm, size, ctx.seed);
         let test = DataRef::new(data.images(Split::Test), data.labels(Split::Test))
             .map_err(|e| format!("dataset well-formed: {e}"))?;
@@ -221,11 +221,7 @@ pub fn surrogate_accuracy(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
         ("gate_speedup".into(), Json::Num(gate_speedup)),
         ("sizes".into(), Json::Arr(size_entries)),
     ]);
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create results directory: {e}"))?;
-    let path = dir.join("BENCH_surrogate.json");
-    std::fs::write(&path, json.to_json() + "\n")
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    let path = ctx.write_json(&json, &mut out, "BENCH_surrogate.json")?;
     if !ctx.quiet {
         println!(
             "surrogate tile-eval speedup at {GATE_SIZE}x{GATE_SIZE}: {gate_speedup:.1}x \
@@ -233,7 +229,6 @@ pub fn surrogate_accuracy(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
             path.display()
         );
     }
-    out.outputs.push(path);
     out.key("surrogate_speedup", gate_speedup);
 
     if gate_speedup.is_nan() || gate_speedup < SPEEDUP_FLOOR {
@@ -256,7 +251,8 @@ pub struct SurrogateTrainOptions {
     pub method: PruneMethod,
     /// Crossbar size.
     pub size: usize,
-    /// Bundle path (`results/model_tiered.xbarmdl` when `None`).
+    /// Bundle path (`model_tiered.xbarmdl` in the results directory when
+    /// `None`).
     pub out: Option<PathBuf>,
 }
 
@@ -289,10 +285,10 @@ pub fn surrogate_train(
     let bundle_path = opts
         .out
         .clone()
-        .unwrap_or_else(|| results_dir().join("model_tiered.xbarmdl"));
+        .unwrap_or_else(|| ctx.results.join("model_tiered.xbarmdl"));
     let sc = surrogate_train_scenarios(ctx, opts).remove(0);
     let data = sc.dataset();
-    let tm = sc.train_model_cached(&data);
+    let tm = sc.train_model_cached(&data, &ctx.results);
     let cfg = map_config(&tm, opts.size, ctx.seed);
     let (surrogate, train_s) = trained_surrogate(cfg.params)?;
 

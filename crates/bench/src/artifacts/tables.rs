@@ -90,7 +90,7 @@ pub fn table1(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     for (dataset, variant, method) in table1_cases() {
         let sc = Scenario::new(variant, dataset, method, ctx.scale).with_seed(ctx.seed);
         let data = sc.dataset();
-        let tm = sc.train_model_cached(&data);
+        let tm = sc.train_model_cached(&data, &ctx.results);
         let compression = match method {
             PruneMethod::None => "-".to_string(),
             m => rate(compression_rate(&tm.model, m, TABLE1_SIZE, TABLE1_SIZE)),
@@ -191,7 +191,7 @@ pub fn tradeoff(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     for s in TRADEOFF_SPARSITIES {
         let sc = tradeoff_scenario(ctx, s);
         let data = sc.dataset();
-        let tm = sc.train_model_cached(&data);
+        let tm = sc.train_model_cached(&data, &ctx.results);
         let cfg = map_config(&tm, 32, ctx.seed);
         let (acc, report) = crossbar_accuracy_avg(&tm, &data, &cfg, DEFAULT_REPS);
         let cost = estimate_cost(&tm.model, &cfg, &cost_model);
@@ -239,7 +239,7 @@ pub fn inventory(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
     let sc = inventory_scenarios(ctx).remove(0);
     let method = sc.method;
     let data = sc.dataset();
-    let tm = sc.train_model_cached(&data);
+    let tm = sc.train_model_cached(&data, &ctx.results);
     let cfg = map_config(&tm, size, ctx.seed);
     let (_, report) = map_to_crossbars(&tm.model, &cfg).map_err(|e| format!("mapping: {e}"))?;
     let mut table = Table::new(
@@ -332,7 +332,7 @@ pub fn fault_sweep(ctx: &ArtifactCtx) -> Result<ArtifactOutput, String> {
         )
         .with_seed(ctx.seed);
         let data = sc.dataset();
-        let tm = sc.train_model_cached(&data);
+        let tm = sc.train_model_cached(&data, &ctx.results);
         for rate in FAULT_RATES {
             for repair in [false, true] {
                 let mut cfg = map_config(&tm, size, ctx.seed);

@@ -65,12 +65,9 @@ fn main() {
         base.r_wire_col = v;
     }
     for method in [PruneMethod::None, PruneMethod::ChannelFilter] {
-        let mut sc = Scenario::new(VggVariant::Vgg11, DatasetKind::Cifar10Like, method, scale);
-        if let Ok(noise) = std::env::var("XBAR_NOISE") {
-            sc.noise_std = Some(noise.parse().unwrap());
-        }
+        let sc = Scenario::new(VggVariant::Vgg11, DatasetKind::Cifar10Like, method, scale);
         let data = sc.dataset();
-        let tm = sc.train_model_cached(&data);
+        let tm = sc.train_model_cached(&data, &ctx.args.results);
         xbar_obs::event!(
             "calibrate_software",
             method = method.to_string(),

@@ -1,6 +1,7 @@
 //! Load generator for `xbar-serve`: drives N concurrent keep-alive
 //! connections at a running server and reports latency percentiles and
-//! throughput to `results/`.
+//! throughput to `loadgen.csv` in the results directory (`XBAR_RESULTS_DIR`,
+//! else the workspace `results/`).
 //!
 //! Usage: `cargo run --release -p xbar-bench --bin loadgen --
 //! --addr 127.0.0.1:7878 [--connections 32] [--requests 25]
@@ -159,7 +160,10 @@ fn main() -> ExitCode {
         ),
     ]);
     println!("{}", table.to_markdown());
-    table.emit("loadgen").expect("write results");
+    let csv = table
+        .write_csv(&ctx.args.results, "loadgen")
+        .expect("write results");
+    println!("[csv written to {}]", csv.display());
     if let Some(path) = &hist_out {
         match loadcore::write_histogram_jsonl(path, &all.latency) {
             Ok(()) => eprintln!("wrote latency histogram to {}", path.display()),

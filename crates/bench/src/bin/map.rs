@@ -7,9 +7,12 @@
 //!
 //! Usage: `cargo run --release -p xbar-bench --bin map -- [--smoke|--full]
 //! [--seed N] [--network vgg11|vgg16] [--dataset cifar10|cifar100]
-//! [--method none|cf|xcs|xrs] [--size N] [--threads N] [--out <path>]`
+//! [--method none|cf|xcs|xrs] [--size N] [--out <path>]`
 //!
-//! `--threads 0` resets the compute-thread budget to auto-detection.
+//! The compute-thread budget comes from `XBAR_THREADS` (see
+//! `xbar_tensor::threads`); the artifact lands in the results directory
+//! (`XBAR_RESULTS_DIR`, else the workspace `results/`) unless `--out` names
+//! a path.
 
 use std::process::ExitCode;
 use xbar_bench::artifacts::{perfmap, ArtifactCtx};
@@ -26,22 +29,9 @@ fn main() -> ExitCode {
             ("--dataset", Arity::Value),
             ("--method", Arity::Value),
             ("--size", Arity::Value),
-            ("--threads", Arity::Value),
             ("--out", Arity::Value),
         ],
     );
-    if let Some(raw) = ctx.args.get("--threads") {
-        match raw.parse::<usize>() {
-            // 0 resets any prior override back to auto-detection.
-            Ok(n) => xbar_tensor::threads::set_max_threads(n),
-            _ => {
-                eprintln!(
-                    "error: --threads must be a non-negative integer (0 = auto), got {raw:?}"
-                );
-                return ExitCode::from(2);
-            }
-        }
-    }
     let variant = match ctx.args.get("--network").unwrap_or("vgg11") {
         "vgg11" => VggVariant::Vgg11,
         "vgg16" => VggVariant::Vgg16,
@@ -86,7 +76,12 @@ fn main() -> ExitCode {
     if let Some(out) = &opts.out {
         ctx.config("artifact", out.display());
     }
-    let actx = ArtifactCtx::new(ctx.args.scale, ctx.args.scale_name, ctx.args.seed);
+    let actx = ArtifactCtx::new(
+        ctx.args.scale,
+        ctx.args.scale_name,
+        ctx.args.seed,
+        ctx.args.results.clone(),
+    );
     let result = perfmap::map_artifact(&actx, &opts);
     ctx.finish();
     match result {

@@ -1,7 +1,8 @@
 //! One-command regeneration of every table and figure: enumerates the
 //! artifact registry, trains each unique scenario exactly once, runs the
 //! artifact generators concurrently with per-task timeouts and isolation,
-//! and writes `results/suite.json`. See `xbar_bench::suite` for the
+//! and writes `suite.json` into the results directory (`XBAR_RESULTS_DIR`,
+//! else the workspace `results/`). See `xbar_bench::suite` for the
 //! orchestration semantics (resume, exclusivity, gate).
 //!
 //! Usage: `cargo run --release -p xbar-bench --bin suite --
@@ -9,14 +10,16 @@
 //! [--only a,b,...] [--skip a,b,...] [--fail a,b,...] [--timeout SECS]
 //! [--tolerance F] [--workers N] [--quiet] [--trace-out <path>]`
 //!
-//! * `--gate` — exit nonzero on any failed artifact, perf regression vs the
-//!   committed `results/BENCH_map.json`, or generate-phase training miss.
-//! * `--fresh` — ignore a previous `results/suite.json` (no resume).
+//! * `--gate` — exit nonzero on any failed artifact, regression vs the
+//!   committed `BENCH_map.json`, `BENCH_solve.json` or `BENCH_serve.json`,
+//!   or generate-phase training miss.
+//! * `--fresh` — ignore a previous `suite.json` (no resume).
 //! * `--fail` — replace the named artifacts' runs with injected failures
 //!   (exercises the isolation/gate paths; used by tests and CI dry runs).
 //!
 //! Exit codes: 0 success, 1 artifact/gate failure, 2 usage error.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 use xbar_bench::report::Table;
 use xbar_bench::runner::{Arity, RunContext};
@@ -34,8 +37,8 @@ fn parse_names(raw: Option<&str>) -> Vec<String> {
     .unwrap_or_default()
 }
 
-fn list_registry() {
-    let ctx = artifacts::ArtifactCtx::new(ExperimentScale::smoke(), "smoke", 42);
+fn list_registry(results: PathBuf) {
+    let ctx = artifacts::ArtifactCtx::new(ExperimentScale::smoke(), "smoke", 42, results);
     let mut table = Table::new(
         "Suite artifacts",
         &["Artifact", "Reproduces", "Scenarios", "Exclusive"],
@@ -67,14 +70,18 @@ fn main() -> ExitCode {
         ],
     );
     if ctx.args.is_set("--list") {
-        list_registry();
+        list_registry(ctx.args.results.clone());
         return ExitCode::SUCCESS;
     }
     // The suite prints its own one-line-per-artifact progress; the live
     // span/event echo of up to `workers` interleaved artifact runs is noise.
     xbar_obs::sink::stderr_echo(false);
 
-    let mut cfg = SuiteConfig::new(ctx.args.scale, ctx.args.scale_name);
+    let mut cfg = SuiteConfig::new(
+        ctx.args.scale,
+        ctx.args.scale_name,
+        ctx.args.results.clone(),
+    );
     cfg.seed = ctx.args.seed;
     cfg.gate = ctx.args.is_set("--gate");
     cfg.fresh = ctx.args.is_set("--fresh");
@@ -149,7 +156,8 @@ fn main() -> ExitCode {
         report.scenarios.generate_hits,
         report.scenarios.generate_misses,
     );
-    println!("[suite report written to {}]", suite_json_path().display());
+    let report_path = suite_json_path(&cfg.results);
+    println!("[suite report written to {}]", report_path.display());
     for failure in &report.gate_failures {
         eprintln!("FAIL: {failure}");
     }
@@ -158,7 +166,7 @@ fn main() -> ExitCode {
         eprintln!(
             "suite: {} failure(s); see {}",
             report.gate_failures.len(),
-            suite_json_path().display()
+            report_path.display()
         );
         return ExitCode::FAILURE;
     }

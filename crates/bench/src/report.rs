@@ -1,4 +1,5 @@
-//! Markdown/CSV reporting helpers shared by the experiment artifacts.
+//! Markdown/CSV reporting helpers shared by the experiment artifacts, and
+//! the workspace's default results directory.
 
 use std::fs;
 use std::io;
@@ -65,47 +66,25 @@ impl Table {
         out
     }
 
-    /// Writes the CSV under `results/` without printing anything — the
-    /// quiet half of [`Table::emit`], used by the suite orchestrator whose
-    /// concurrent artifact workers must not interleave markdown on stdout.
+    /// Writes the CSV as `<file_stem>.csv` in `dir`, printing nothing (the
+    /// suite's concurrent artifact workers must not interleave markdown on
+    /// stdout).
     ///
     /// # Errors
     ///
-    /// Returns an I/O error if the results directory or file cannot be
-    /// written.
-    pub fn write_csv(&self, file_stem: &str) -> io::Result<PathBuf> {
-        let dir = results_dir();
-        fs::create_dir_all(&dir)?;
+    /// Returns an I/O error if the directory or file cannot be written.
+    pub fn write_csv(&self, dir: &Path, file_stem: &str) -> io::Result<PathBuf> {
+        fs::create_dir_all(dir)?;
         let path = dir.join(format!("{file_stem}.csv"));
         fs::write(&path, self.to_csv())?;
         Ok(path)
     }
-
-    /// Prints the markdown to stdout and writes the CSV under `results/`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the results directory or file cannot be
-    /// written.
-    pub fn emit(&self, file_stem: &str) -> io::Result<PathBuf> {
-        println!("{}", self.to_markdown());
-        let path = self.write_csv(file_stem)?;
-        println!("[csv written to {}]", path.display());
-        Ok(path)
-    }
 }
 
-/// The directory experiment CSVs are written to (`results/` beside the
-/// workspace root, overridable with `XBAR_RESULTS_DIR`).
-pub fn results_dir() -> PathBuf {
-    match std::env::var("XBAR_RESULTS_DIR") {
-        Ok(dir) => PathBuf::from(dir),
-        Err(_) => default_results_dir(),
-    }
-}
-
-/// `results/` beside the workspace root.
-fn default_results_dir() -> PathBuf {
+/// `results/` beside the workspace root: where experiment outputs go unless
+/// `XBAR_RESULTS_DIR` names another directory (read once, by
+/// [`crate::runner::CommonArgs`]).
+pub fn default_results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench → workspace root is two levels up.
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
     manifest

@@ -1,8 +1,14 @@
 //! Shared helpers for the experiment binaries: CLI parsing, run-lifecycle
 //! observability ([`RunContext`]) and crossbar-accuracy evaluation of
 //! trained scenarios.
+//!
+//! [`CommonArgs`] is the binaries' edge: it resolves the results directory
+//! (`XBAR_RESULTS_DIR`, else the workspace `results/`) once, and the path
+//! travels from there as a value — through `SuiteConfig` and `ArtifactCtx`
+//! into every CSV, BENCH file, model cache and gate read. No library code
+//! reads the environment for it.
 
-use crate::report::Table;
+use crate::report::{default_results_dir, Table};
 use crate::scenario::{ExperimentScale, TrainedModel};
 use std::path::PathBuf;
 use xbar_core::pipeline::{map_to_crossbars, MapConfig, MapReport};
@@ -29,7 +35,9 @@ pub enum Arity {
 /// binary-specific flags the caller declared.
 ///
 /// Common flags: `--full` / `--smoke` / `--quick` (scale preset),
-/// `--seed <n>`, `--quiet`, `--trace-out <path>`.
+/// `--seed <n>`, `--quiet`, `--trace-out <path>`. The results directory is
+/// not a flag: it is `XBAR_RESULTS_DIR` if set, else the workspace
+/// `results/`.
 #[derive(Debug, Clone)]
 pub struct CommonArgs {
     /// Experiment scale preset.
@@ -42,6 +50,8 @@ pub struct CommonArgs {
     pub quiet: bool,
     /// Where to write the JSONL trace, if anywhere.
     pub trace_out: Option<PathBuf>,
+    /// Where CSVs, BENCH files and the trained-model cache go.
+    pub results: PathBuf,
     extras: Vec<(String, Option<String>)>,
 }
 
@@ -49,7 +59,7 @@ impl CommonArgs {
     /// Parses `args` (without the program name) against the common flags
     /// plus the caller's `extra` flag declarations. Unknown flags and
     /// missing values produce an error message instead of being silently
-    /// swallowed.
+    /// swallowed. Reads `XBAR_RESULTS_DIR` for [`CommonArgs::results`].
     ///
     /// # Errors
     ///
@@ -64,6 +74,8 @@ impl CommonArgs {
             seed: 42,
             quiet: false,
             trace_out: None,
+            results: std::env::var_os("XBAR_RESULTS_DIR")
+                .map_or_else(default_results_dir, PathBuf::from),
             extras: Vec::new(),
         };
         let mut args = args.into_iter();

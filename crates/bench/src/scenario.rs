@@ -1,5 +1,6 @@
 //! Experiment scenarios: dataset + model + pruning + training.
 
+use std::path::Path;
 use xbar_data::{CifarLikeConfig, Dataset, Split};
 use xbar_nn::train::{evaluate, train, DataRef, TrainConfig, WeightConstraint};
 use xbar_nn::vgg::{VggConfig, VggVariant};
@@ -104,9 +105,6 @@ pub struct Scenario {
     pub scale: ExperimentScale,
     /// Master seed.
     pub seed: u64,
-    /// Overrides the dataset noise level (task difficulty); `None` keeps the
-    /// dataset default.
-    pub noise_std: Option<f32>,
 }
 
 impl Scenario {
@@ -125,7 +123,6 @@ impl Scenario {
             segment: 32,
             scale,
             seed: 42,
-            noise_std: None,
         }
     }
 
@@ -143,13 +140,10 @@ impl Scenario {
 
     /// Generates the scenario's dataset (deterministic).
     pub fn dataset(&self) -> Dataset {
-        let mut base = match self.dataset {
+        let base = match self.dataset {
             DatasetKind::Cifar10Like => CifarLikeConfig::cifar10_like(),
             DatasetKind::Cifar100Like => CifarLikeConfig::cifar100_like(),
         };
-        if let Some(noise) = self.noise_std {
-            base = base.noise_std(noise);
-        }
         // 100-class runs need more examples per class to train at all; scale
         // both splits up rather than starving them (10 images/class at the
         // quick scale would be meaningless).
@@ -261,7 +255,7 @@ impl Scenario {
             _ => "",
         };
         format!(
-            "{prune_version}{}_{}_{}_s{:.3}_seg{}_w{:.3}_n{}_e{}_b{}_lr{:.4}_seed{}_noise{:?}",
+            "{prune_version}{}_{}_{}_s{:.3}_seg{}_w{:.3}_n{}_e{}_b{}_lr{:.4}_seed{}",
             self.variant,
             self.dataset.name().replace('-', ""),
             self.method.to_string().replace('/', ""),
@@ -273,13 +267,15 @@ impl Scenario {
             self.scale.batch_size,
             recipe.sgd.lr,
             self.seed,
-            self.noise_std,
         )
     }
 
-    /// Like [`Scenario::train_model`] but backed by a disk cache under
-    /// `results/cache/` so the many artifacts and runs that share scenarios
-    /// (e.g. the unpruned VGG11 baseline) train each model only once.
+    /// Like [`Scenario::train_model`] but backed by a disk cache in the
+    /// `cache/` directory of `results`, so the many artifacts and runs that
+    /// share scenarios (e.g. the unpruned VGG11 baseline) train each model
+    /// only once. An entry that is missing,
+    /// unreadable or in an older format is a miss: the scenario retrains
+    /// and the entry is rewritten.
     ///
     /// Hits and misses are counted in the `bench/scenario_cache_hits` /
     /// `bench/scenario_cache_misses` metrics; the suite orchestrator uses
@@ -287,9 +283,9 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics on I/O errors other than a missing cache entry.
-    pub fn train_model_cached(&self, data: &Dataset) -> TrainedModel {
-        let dir = crate::report::results_dir().join("cache");
+    /// Panics if the cache entry cannot be written.
+    pub fn train_model_cached(&self, data: &Dataset, results: &Path) -> TrainedModel {
+        let dir = results.join("cache");
         let path = dir.join(format!("{}.xbarmodel", self.cache_key()));
         if let Some(tm) = self.try_load(&path, data) {
             xbar_obs::metrics::counter_add(xbar_obs::names::BENCH_SCENARIO_CACHE_HITS, 1);
@@ -304,23 +300,9 @@ impl Scenario {
         tm
     }
 
-    fn try_load(&self, path: &std::path::Path, data: &Dataset) -> Option<TrainedModel> {
+    fn try_load(&self, path: &Path, data: &Dataset) -> Option<TrainedModel> {
         let (mut model, masks) = self.build_model(data.num_classes());
-        let (software_accuracy, state) = cache_io::load_into(path, &mut model)?;
-        if state == xbar_nn::checkpoint::LoadedState::ParamsOnly {
-            // Legacy entry without BatchNorm running statistics: re-estimate
-            // them from training data (no weight updates).
-            let train_ref =
-                xbar_nn::train::DataRef::new(data.images(Split::Train), data.labels(Split::Train))
-                    .ok()?;
-            xbar_core::recalibrate::recalibrate_batchnorm(
-                &mut model,
-                train_ref,
-                self.scale.batch_size,
-                16,
-            )
-            .ok()?;
-        }
+        let software_accuracy = cache_io::load_into(path, &mut model)?;
         Some(TrainedModel {
             model,
             masks,
@@ -335,9 +317,9 @@ mod cache_io {
     //! `xbar_nn::checkpoint`) followed by the software accuracy as
     //! little-endian f64.
 
-    use std::io::{Read, Write};
+    use std::io::Write;
     use std::path::Path;
-    use xbar_nn::checkpoint::{load_params, save_params, LoadedState};
+    use xbar_nn::checkpoint::{load_params, save_params};
     use xbar_nn::Sequential;
 
     pub fn save(path: &Path, model: &mut Sequential, acc: f64) -> std::io::Result<()> {
@@ -349,28 +331,14 @@ mod cache_io {
         xbar_nn::serialize::write_file_atomic(path, |f| f.write_all(&buf))
     }
 
-    /// Loads the cached state into `model`; returns the cached software
-    /// accuracy and what the checkpoint contained, or `None` for a
-    /// missing/stale/mismatched entry. Entries written by earlier builds
-    /// with the params-only `XBARMDL1` layout (same body as checkpoint v1,
-    /// different magic) are still accepted; callers must recalibrate the
-    /// BatchNorm statistics for those.
-    pub fn load_into(path: &Path, model: &mut Sequential) -> Option<(f64, LoadedState)> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)
-            .ok()?
-            .read_to_end(&mut bytes)
-            .ok()?;
-        if bytes.len() < 16 {
-            return None;
-        }
-        if bytes.starts_with(b"XBARMDL1") {
-            // Legacy magic; rest of the layout is identical to checkpoint v1.
-            bytes[..8].copy_from_slice(b"XBARCKP1");
-        }
-        let (ckpt, acc_bytes) = bytes.split_at(bytes.len() - 8);
-        let state = load_params(model, ckpt).ok()?;
-        Some((f64::from_le_bytes(acc_bytes.try_into().ok()?), state))
+    /// Loads the cached state into `model` and returns the cached software
+    /// accuracy, or `None` for a missing, corrupt, older-format or
+    /// mismatched entry.
+    pub fn load_into(path: &Path, model: &mut Sequential) -> Option<f64> {
+        let bytes = std::fs::read(path).ok()?;
+        let (ckpt, acc_bytes) = bytes.split_at(bytes.len().checked_sub(8)?);
+        load_params(model, ckpt).ok()?;
+        Some(f64::from_le_bytes(acc_bytes.try_into().ok()?))
     }
 }
 
@@ -378,12 +346,16 @@ mod cache_io {
 mod tests {
     use super::*;
 
+    fn temp_results(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("xbar_cache_test_{}_{tag}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
     #[test]
     fn cache_round_trip_restores_model_and_accuracy() {
-        let dir = std::env::temp_dir().join(format!("xbar_cache_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let previous = std::env::var_os("XBAR_RESULTS_DIR");
-        std::env::set_var("XBAR_RESULTS_DIR", &dir);
+        let dir = temp_results("round_trip");
         let sc = Scenario::new(
             VggVariant::Vgg11,
             DatasetKind::Cifar10Like,
@@ -391,8 +363,8 @@ mod tests {
             ExperimentScale::smoke(),
         );
         let data = sc.dataset();
-        let trained = sc.train_model_cached(&data); // miss → train + save
-        let loaded = sc.train_model_cached(&data); // hit → load
+        let trained = sc.train_model_cached(&data, &dir); // miss → train + save
+        let loaded = sc.train_model_cached(&data, &dir); // hit → load
         assert_eq!(loaded.software_accuracy, trained.software_accuracy);
         let mut a = trained.model.clone();
         let mut b = loaded.model.clone();
@@ -407,10 +379,43 @@ mod tests {
             .map(|t| t.clone())
             .collect();
         assert_eq!(sa, sb, "full state (incl. BN stats) must round-trip");
-        match previous {
-            Some(value) => std::env::set_var("XBAR_RESULTS_DIR", value),
-            None => std::env::remove_var("XBAR_RESULTS_DIR"),
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn old_format_cache_entry_is_a_miss_and_is_rewritten() {
+        let dir = temp_results("old_format");
+        let sc = Scenario::new(
+            VggVariant::Vgg11,
+            DatasetKind::Cifar10Like,
+            PruneMethod::None,
+            ExperimentScale::smoke(),
+        );
+        let data = sc.dataset();
+        let path = dir
+            .join("cache")
+            .join(format!("{}.xbarmodel", sc.cache_key()));
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        // A current-format entry of the untrained model loads...
+        let (mut model, _) = sc.build_model(data.num_classes());
+        cache_io::save(&path, &mut model, 0.5).unwrap();
+        assert_eq!(sc.try_load(&path, &data).unwrap().software_accuracy, 0.5);
+        // ...but the retired layout, parameters without BatchNorm statistics
+        // under either magic it was written with, is a miss.
+        let params = model.params_mut();
+        let mut body = Vec::new();
+        xbar_nn::serialize::write_tensor_block(&mut body, params.iter().map(|p| &p.value)).unwrap();
+        for magic in [b"XBARCKP1", b"XBARMDL1"] {
+            let mut old = magic.to_vec();
+            old.extend_from_slice(&body);
+            old.extend_from_slice(&0.5f64.to_le_bytes());
+            std::fs::write(&path, &old).unwrap();
+            assert!(sc.try_load(&path, &data).is_none(), "{magic:?} must miss");
         }
+        // The cached path retrains and rewrites the entry in today's format.
+        let trained = sc.train_model_cached(&data, &dir);
+        let reloaded = sc.try_load(&path, &data).expect("rewritten entry loads");
+        assert_eq!(reloaded.software_accuracy, trained.software_accuracy);
         std::fs::remove_dir_all(&dir).ok();
     }
 

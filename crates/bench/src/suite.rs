@@ -6,7 +6,7 @@
 //! 1. **Prepare** — enumerate every training scenario each selected artifact
 //!    will consume, deduplicate them by [`Scenario::cache_key`], and train
 //!    each *unique* scenario exactly once (concurrently, on a bounded worker
-//!    pool) through the `results/cache/` disk cache.
+//!    pool) through the `cache/` disk cache in the results directory.
 //! 2. **Generate** — run the artifacts themselves on the same pool. Every
 //!    training lookup now hits the cache, which the
 //!    `bench/scenario_cache_hits`/`_misses` counter deltas prove; a
@@ -17,26 +17,29 @@
 //! Each artifact is isolated: it runs on its own thread, a panic or error
 //! marks that artifact failed without aborting the suite, and a per-task
 //! timeout marks it timed out (the worker moves on; the detached thread is
-//! abandoned). `results/suite.json` is rewritten atomically after every
+//! abandoned). `suite.json` is rewritten atomically after every
 //! completion, so a killed run leaves a complete record; a re-run resumes
 //! from it, re-running only artifacts that did not previously succeed.
 //!
-//! **Gate mode** (`--gate`) additionally compares the `perf` artifact's
-//! fresh `results/BENCH_map.json` against the baseline committed in the
-//! repository (read *before* the run overwrites it) with a relative
-//! tolerance, and fails on any generate-phase training miss.
+//! **Gate mode** (`--gate`) additionally compares the fresh BENCH file of
+//! each benchmark artifact that ran (`perf`, `solve`, `serve`) against the
+//! baseline committed in the repository (read *before* the run overwrites
+//! it) with a relative tolerance, and fails on any generate-phase training
+//! miss.
 //!
-//! Every run also writes `results/suite_trace.json`, a Chrome-trace view of
-//! the whole run (one lane per pooled task), loadable in `chrome://tracing`
-//! or ui.perfetto.dev.
+//! Every run also writes `suite_trace.json`, a Chrome-trace view of the
+//! whole run (one lane per pooled task), loadable in `chrome://tracing` or
+//! ui.perfetto.dev.
+//!
+//! All of these files live in [`SuiteConfig::results`], which the `suite`
+//! binary takes from `XBAR_RESULTS_DIR` (else the workspace `results/`).
 
 use crate::artifacts::{self, ArtifactCtx, ArtifactOutput, ArtifactSpec};
-use crate::report::results_dir;
 use crate::scenario::{ExperimentScale, Scenario};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
@@ -73,12 +76,16 @@ pub struct SuiteConfig {
     pub workers: usize,
     /// Print progress lines to stderr.
     pub progress: bool,
+    /// The results directory every artifact, cache entry, report and gate
+    /// baseline is read from and written to.
+    pub results: PathBuf,
 }
 
 impl SuiteConfig {
-    /// The default configuration for a scale preset: every artifact, resume
-    /// enabled, no gate, pool sized by `xbar_tensor::threads::max_threads`.
-    pub fn new(scale: ExperimentScale, scale_name: &'static str) -> Self {
+    /// The default configuration for a scale preset writing into `results`:
+    /// every artifact, resume enabled, no gate, pool sized by
+    /// `xbar_tensor::threads::max_threads`.
+    pub fn new(scale: ExperimentScale, scale_name: &'static str, results: PathBuf) -> Self {
         SuiteConfig {
             scale,
             scale_name,
@@ -92,6 +99,7 @@ impl SuiteConfig {
             fail: Vec::new(),
             workers: xbar_tensor::threads::max_threads(),
             progress: true,
+            results,
         }
     }
 }
@@ -169,7 +177,7 @@ pub struct ScenarioStats {
     pub generate_misses: u64,
 }
 
-/// Everything a suite run produced; serialised to `results/suite.json`.
+/// Everything a suite run produced; serialised to `suite.json`.
 #[derive(Debug, Clone)]
 pub struct SuiteReport {
     /// Scale preset name.
@@ -272,14 +280,9 @@ impl SuiteReport {
     }
 }
 
-/// Path of the suite report under the active results directory.
-pub fn suite_json_path() -> PathBuf {
-    results_dir().join("suite.json")
-}
-
-/// Path of the suite's Chrome trace under the active results directory.
-pub fn suite_trace_path() -> PathBuf {
-    results_dir().join("suite_trace.json")
+/// Path of the suite report in a results directory.
+pub fn suite_json_path(results: &Path) -> PathBuf {
+    results.join("suite.json")
 }
 
 /// Writes the run's span buffer as a Chrome trace (`suite_trace.json`),
@@ -287,7 +290,7 @@ pub fn suite_trace_path() -> PathBuf {
 /// on its own thread, so lanes are named after the depth-0 span that ran
 /// there (the artifact name, `train_scenario`, or `suite` for the
 /// orchestrator thread itself).
-fn write_suite_trace() -> Option<PathBuf> {
+fn write_suite_trace(results: &Path) -> Option<PathBuf> {
     let mut lanes: BTreeMap<u64, String> = BTreeMap::new();
     let mut spans = xbar_obs::trace::all_spans();
     spans.sort_by_key(|s| s.start_us);
@@ -297,31 +300,34 @@ fn write_suite_trace() -> Option<PathBuf> {
             name => name.to_string(),
         });
     }
-    let path = suite_trace_path();
+    let path = results.join("suite_trace.json");
     xbar_obs::chrome::write_chrome_trace(&path, &lanes).ok()?;
     Some(path)
 }
 
-fn write_report(report: &SuiteReport) {
-    let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
+fn write_report(report: &SuiteReport, results: &Path) {
+    if std::fs::create_dir_all(results).is_err() {
         return;
     }
     let text = report.to_json().to_json_pretty() + "\n";
     // Atomic so a kill mid-write cannot corrupt the resume state.
-    let _ = xbar_nn::serialize::write_file_atomic::<std::io::Error, _>(suite_json_path(), |f| {
-        f.write_all(text.as_bytes())
-    });
+    let _ =
+        xbar_nn::serialize::write_file_atomic::<std::io::Error, _>(suite_json_path(results), |f| {
+            f.write_all(text.as_bytes())
+        });
+}
+
+/// A JSON file, or `None` if it is missing or does not parse.
+fn read_json(path: &Path) -> Option<Json> {
+    let text = std::fs::read_to_string(path).ok()?;
+    Json::parse(&text).ok()
 }
 
 /// The artifact names that succeeded in a previous run, read from an
 /// existing `suite.json` (resume state). Only reports from the same scale
 /// and seed are trusted.
 fn previously_ok(cfg: &SuiteConfig) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(suite_json_path()) else {
-        return Vec::new();
-    };
-    let Ok(json) = Json::parse(&text) else {
+    let Some(json) = read_json(&suite_json_path(&cfg.results)) else {
         return Vec::new();
     };
     if json.get("scale").and_then(Json::as_str) != Some(cfg.scale_name)
@@ -418,6 +424,17 @@ pub fn serve_gate_failures(baseline: &Json, fresh: &Json, tolerance: f64) -> Vec
     failures
 }
 
+/// Compares a fresh BENCH file against its committed baseline.
+type GateFn = fn(&Json, &Json, f64) -> Vec<String>;
+
+/// What `--gate` compares: each benchmark artifact, the BENCH file it
+/// writes, and the comparison applied to it.
+const BENCH_GATES: [(&str, &str, GateFn); 3] = [
+    ("perf", "BENCH_map.json", perf_gate_failures),
+    ("solve", "BENCH_solve.json", solve_gate_failures),
+    ("serve", "BENCH_serve.json", serve_gate_failures),
+];
+
 fn bench_gate_failures(
     baseline: &Json,
     fresh: &Json,
@@ -483,7 +500,7 @@ fn run_pool<I, R>(
     on_done: &mut (dyn FnMut(usize, &TaskStatus<R>, f64) + Send),
 ) -> Vec<TaskStatus<R>>
 where
-    I: Copy + Send + Sync + 'static,
+    I: Clone + Send + Sync + 'static,
     R: Send + 'static,
 {
     type Slot<R> = Option<(TaskStatus<R>, f64)>;
@@ -502,7 +519,7 @@ where
                 if i >= items.len() {
                     break;
                 }
-                let item = items[i];
+                let item = items[i].clone();
                 let start = Instant::now();
                 let (tx, rx) = mpsc::channel();
                 // A dedicated 'static thread per task so recv_timeout can
@@ -534,13 +551,13 @@ where
         .collect()
 }
 
-fn train_task(sc: Scenario) -> Result<(), String> {
+fn train_task((sc, results): (Scenario, PathBuf)) -> Result<(), String> {
     let _span = xbar_obs::trace::SpanGuard::enter(
         "train_scenario",
         vec![("scenario", FieldValue::Str(sc.cache_key()))],
     );
     let data = sc.dataset();
-    sc.train_model_cached(&data);
+    sc.train_model_cached(&data, &results);
     Ok(())
 }
 
@@ -600,23 +617,19 @@ pub fn select_artifacts(cfg: &SuiteConfig) -> Result<Vec<ArtifactSpec>, String> 
 pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteReport, String> {
     let suite_start = Instant::now();
     let selected = select_artifacts(cfg)?;
-    let ctx = ArtifactCtx::new(cfg.scale, cfg.scale_name, cfg.seed).quiet(true);
+    let ctx =
+        ArtifactCtx::new(cfg.scale, cfg.scale_name, cfg.seed, cfg.results.clone()).quiet(true);
 
     let resume_ok = if cfg.fresh {
         Vec::new()
     } else {
         previously_ok(cfg)
     };
-    // Read the committed perf/solve baselines before the run overwrites them.
-    let perf_baseline = std::fs::read_to_string(results_dir().join("BENCH_map.json"))
-        .ok()
-        .and_then(|text| Json::parse(&text).ok());
-    let solve_baseline = std::fs::read_to_string(results_dir().join("BENCH_solve.json"))
-        .ok()
-        .and_then(|text| Json::parse(&text).ok());
-    let serve_baseline = std::fs::read_to_string(results_dir().join("BENCH_serve.json"))
-        .ok()
-        .and_then(|text| Json::parse(&text).ok());
+    // Read the committed baselines before the run overwrites them.
+    let baselines: Vec<Option<Json>> = BENCH_GATES
+        .iter()
+        .map(|(_, file, _)| read_json(&cfg.results.join(file)))
+        .collect();
 
     let mut report = SuiteReport {
         scale: cfg.scale_name.to_string(),
@@ -643,7 +656,7 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteReport, String> {
                 key_numbers: Vec::new(),
             });
         } else {
-            to_run.push((*spec, ctx, inject));
+            to_run.push((*spec, ctx.clone(), inject));
         }
     }
     if !report.artifacts.is_empty() {
@@ -652,7 +665,7 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteReport, String> {
             &format!(
                 "resuming: {} artifact(s) already ok in {}",
                 report.artifacts.len(),
-                suite_json_path().display()
+                suite_json_path(&cfg.results).display()
             ),
         );
     }
@@ -667,7 +680,10 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteReport, String> {
             unique.entry(sc.cache_key()).or_insert(sc);
         }
     }
-    let scenarios: Vec<Scenario> = unique.into_values().collect();
+    let scenarios: Vec<(Scenario, PathBuf)> = unique
+        .into_values()
+        .map(|sc| (sc, cfg.results.clone()))
+        .collect();
     report.scenarios.unique = scenarios.len();
     let (h0, m0) = (
         counter_value(names::BENCH_SCENARIO_CACHE_HITS),
@@ -698,7 +714,7 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteReport, String> {
                 cfg,
                 &format!(
                     "prepare [{done}/{total}] {} ({wall:.1}s): {verdict}",
-                    scenarios[i].cache_key()
+                    scenarios[i].0.cache_key()
                 ),
             );
         };
@@ -718,18 +734,18 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteReport, String> {
     );
     report.scenarios.prepare_hits = h1 - h0;
     report.scenarios.prepare_misses = m1 - m0;
-    write_report(&report);
+    write_report(&report, &cfg.results);
 
     // Phase 2: generate artifacts — the parallel batch, then exclusives.
     let parallel: Vec<(ArtifactSpec, ArtifactCtx, bool)> = to_run
         .iter()
-        .copied()
         .filter(|(spec, _, _)| !spec.exclusive)
+        .cloned()
         .collect();
     let exclusive: Vec<(ArtifactSpec, ArtifactCtx, bool)> = to_run
         .iter()
-        .copied()
         .filter(|(spec, _, _)| spec.exclusive)
+        .cloned()
         .collect();
     {
         let _span = xbar_obs::span!("suite_generate");
@@ -793,7 +809,7 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteReport, String> {
                 let mut rep = report_cell.lock().unwrap_or_else(|e| e.into_inner());
                 rep.artifacts.push(outcome);
                 rep.wall_s = suite_start.elapsed().as_secs_f64();
-                write_report(&rep);
+                write_report(&rep, &cfg.results);
             };
             run_pool(batch, workers, cfg.timeout, artifact_task, &mut on_done);
         }
@@ -835,83 +851,31 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteReport, String> {
                 report.scenarios.generate_misses
             ));
         }
-        let perf_ran = report
-            .artifacts
-            .iter()
-            .any(|a| a.name == "perf" && a.status == ArtifactStatus::Ok);
-        if perf_ran {
-            match (
-                &perf_baseline,
-                std::fs::read_to_string(results_dir().join("BENCH_map.json"))
-                    .ok()
-                    .and_then(|text| Json::parse(&text).ok()),
-            ) {
+        for ((artifact, file, gate), baseline) in BENCH_GATES.iter().zip(&baselines) {
+            let ran = report
+                .artifacts
+                .iter()
+                .any(|a| a.name == *artifact && a.status == ArtifactStatus::Ok);
+            if !ran {
+                continue;
+            }
+            match (baseline, read_json(&cfg.results.join(file))) {
                 (Some(baseline), Some(fresh)) => {
                     report
                         .gate_failures
-                        .extend(perf_gate_failures(baseline, &fresh, cfg.tolerance))
+                        .extend(gate(baseline, &fresh, cfg.tolerance))
                 }
                 (None, _) => progress(
                     cfg,
-                    "gate: no committed BENCH_map.json baseline; skipping perf comparison",
+                    &format!("gate: no committed {file} baseline; skipping {artifact} comparison"),
                 ),
                 (_, None) => report
                     .gate_failures
-                    .push("perf ran but left no readable BENCH_map.json".to_string()),
-            }
-        }
-        let solve_ran = report
-            .artifacts
-            .iter()
-            .any(|a| a.name == "solve" && a.status == ArtifactStatus::Ok);
-        if solve_ran {
-            match (
-                &solve_baseline,
-                std::fs::read_to_string(results_dir().join("BENCH_solve.json"))
-                    .ok()
-                    .and_then(|text| Json::parse(&text).ok()),
-            ) {
-                (Some(baseline), Some(fresh)) => report.gate_failures.extend(solve_gate_failures(
-                    baseline,
-                    &fresh,
-                    cfg.tolerance,
-                )),
-                (None, _) => progress(
-                    cfg,
-                    "gate: no committed BENCH_solve.json baseline; skipping solve comparison",
-                ),
-                (_, None) => report
-                    .gate_failures
-                    .push("solve ran but left no readable BENCH_solve.json".to_string()),
-            }
-        }
-        let serve_ran = report
-            .artifacts
-            .iter()
-            .any(|a| a.name == "serve" && a.status == ArtifactStatus::Ok);
-        if serve_ran {
-            match (
-                &serve_baseline,
-                std::fs::read_to_string(results_dir().join("BENCH_serve.json"))
-                    .ok()
-                    .and_then(|text| Json::parse(&text).ok()),
-            ) {
-                (Some(baseline), Some(fresh)) => report.gate_failures.extend(serve_gate_failures(
-                    baseline,
-                    &fresh,
-                    cfg.tolerance,
-                )),
-                (None, _) => progress(
-                    cfg,
-                    "gate: no committed BENCH_serve.json baseline; skipping serve comparison",
-                ),
-                (_, None) => report
-                    .gate_failures
-                    .push("serve ran but left no readable BENCH_serve.json".to_string()),
+                    .push(format!("{artifact} ran but left no readable {file}")),
             }
         }
     }
-    if let Some(path) = write_suite_trace() {
+    if let Some(path) = write_suite_trace(&cfg.results) {
         progress(
             cfg,
             &format!(
@@ -921,7 +885,7 @@ pub fn run_suite(cfg: &SuiteConfig) -> Result<SuiteReport, String> {
         );
     }
     report.wall_s = suite_start.elapsed().as_secs_f64();
-    write_report(&report);
+    write_report(&report, &cfg.results);
     Ok(report)
 }
 
@@ -1096,7 +1060,7 @@ mod tests {
 
     #[test]
     fn select_rejects_unknown_names() {
-        let mut cfg = SuiteConfig::new(ExperimentScale::smoke(), "smoke");
+        let mut cfg = SuiteConfig::new(ExperimentScale::smoke(), "smoke", PathBuf::new());
         cfg.only = vec!["no_such_artifact".to_string()];
         let err = select_artifacts(&cfg).unwrap_err();
         assert!(err.contains("no_such_artifact"), "{err}");
@@ -1105,7 +1069,7 @@ mod tests {
 
     #[test]
     fn select_filters_and_keeps_order() {
-        let mut cfg = SuiteConfig::new(ExperimentScale::smoke(), "smoke");
+        let mut cfg = SuiteConfig::new(ExperimentScale::smoke(), "smoke", PathBuf::new());
         cfg.only = vec!["perf".to_string(), "table1".to_string()];
         let picked = select_artifacts(&cfg).unwrap();
         let names: Vec<&str> = picked.iter().map(|s| s.name).collect();

@@ -4,54 +4,40 @@
 //! The artifact under test is `ablation_approximation` (study A6): it needs
 //! no training, has no wall-time columns, and derives all randomness from a
 //! fixed xorshift seed — so it is cheap and its CSV must be byte-identical
-//! across runs. `XBAR_RESULTS_DIR` is process-global, so every test
-//! serialises on one mutex and points the variable at its own directory.
+//! across runs. Each test passes its own results directory in the config,
+//! so the tests share no state and run in parallel.
 
-use std::path::PathBuf;
-use std::sync::Mutex;
+use std::path::{Path, PathBuf};
 use xbar_bench::scenario::ExperimentScale;
 use xbar_bench::suite::{run_suite, suite_json_path, ArtifactStatus, SuiteConfig};
 use xbar_obs::json::Json;
 
-static ENV_LOCK: Mutex<()> = Mutex::new(());
+/// A fresh per-test results directory, removed on drop.
+struct TempResults(PathBuf);
 
-/// Points `XBAR_RESULTS_DIR` at a fresh per-test directory; restores on drop.
-struct ResultsDirGuard {
-    _lock: std::sync::MutexGuard<'static, ()>,
-    dir: PathBuf,
-    previous: Option<std::ffi::OsString>,
-}
-
-impl ResultsDirGuard {
+impl TempResults {
     fn new(tag: &str) -> Self {
-        let lock = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir()
             .join(format!("xbar_suite_test_{}_{tag}", std::process::id()))
             .join("results");
         std::fs::remove_dir_all(dir.parent().unwrap()).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        let previous = std::env::var_os("XBAR_RESULTS_DIR");
-        std::env::set_var("XBAR_RESULTS_DIR", &dir);
-        ResultsDirGuard {
-            _lock: lock,
-            dir,
-            previous,
-        }
+        TempResults(dir)
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
     }
 }
 
-impl Drop for ResultsDirGuard {
+impl Drop for TempResults {
     fn drop(&mut self) {
-        match self.previous.take() {
-            Some(value) => std::env::set_var("XBAR_RESULTS_DIR", value),
-            None => std::env::remove_var("XBAR_RESULTS_DIR"),
-        }
-        std::fs::remove_dir_all(self.dir.parent().unwrap()).ok();
+        std::fs::remove_dir_all(self.0.parent().unwrap()).ok();
     }
 }
 
-fn quiet_cfg(only: &[&str]) -> SuiteConfig {
-    let mut cfg = SuiteConfig::new(ExperimentScale::smoke(), "smoke");
+fn quiet_cfg(results: &Path, only: &[&str]) -> SuiteConfig {
+    let mut cfg = SuiteConfig::new(ExperimentScale::smoke(), "smoke", results.to_path_buf());
     cfg.only = only.iter().map(|s| s.to_string()).collect();
     cfg.progress = false;
     cfg.workers = 1;
@@ -71,8 +57,8 @@ fn status_of<'r>(report: &'r xbar_bench::suite::SuiteReport, name: &str) -> &'r 
 /// must produce byte-identical CSV and identical key numbers.
 #[test]
 fn suite_artifact_runs_are_deterministic() {
-    let guard = ResultsDirGuard::new("determinism");
-    let mut cfg = quiet_cfg(&["ablation_approximation"]);
+    let results = TempResults::new("determinism");
+    let mut cfg = quiet_cfg(results.path(), &["ablation_approximation"]);
     cfg.fresh = true; // never resume: both runs must regenerate for real
 
     let first = run_suite(&cfg).expect("first run");
@@ -80,7 +66,7 @@ fn suite_artifact_runs_are_deterministic() {
         *status_of(&first, "ablation_approximation"),
         ArtifactStatus::Ok
     );
-    let csv = guard.dir.join("ablation_approximation.csv");
+    let csv = results.path().join("ablation_approximation.csv");
     let bytes_a = std::fs::read(&csv).expect("first CSV");
 
     let second = run_suite(&cfg).expect("second run");
@@ -109,8 +95,11 @@ fn suite_artifact_runs_are_deterministic() {
 /// injection resumes the good artifact and recovers the failed one.
 #[test]
 fn injected_failure_gates_then_resume_recovers() {
-    let guard = ResultsDirGuard::new("gate");
-    let mut cfg = quiet_cfg(&["ablation_approximation", "ablation_solver"]);
+    let results = TempResults::new("gate");
+    let mut cfg = quiet_cfg(
+        results.path(),
+        &["ablation_approximation", "ablation_solver"],
+    );
     cfg.gate = true;
     cfg.fail = vec!["ablation_solver".to_string()];
 
@@ -134,7 +123,8 @@ fn injected_failure_gates_then_resume_recovers() {
     );
 
     // suite.json is complete despite the failure, with the culprit named.
-    let text = std::fs::read_to_string(suite_json_path()).expect("suite.json written");
+    let text =
+        std::fs::read_to_string(suite_json_path(results.path())).expect("suite.json written");
     let json = Json::parse(&text).expect("suite.json parses");
     assert_eq!(json.get("passed").and_then(Json::as_bool), Some(false));
     let arts = json.get("artifacts").and_then(Json::as_arr).unwrap();
@@ -163,7 +153,6 @@ fn injected_failure_gates_then_resume_recovers() {
         ArtifactStatus::Resumed
     );
     assert_eq!(*status_of(&resumed, "ablation_solver"), ArtifactStatus::Ok);
-    drop(guard);
 }
 
 /// Satellite test 2 (second half): an out-of-tolerance committed baseline

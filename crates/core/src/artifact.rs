@@ -807,7 +807,7 @@ pub fn load_artifact_bundle_mmap(path: impl AsRef<Path>) -> Result<ArtifactBundl
 mod tests {
     use super::*;
     use crate::pipeline::map_to_crossbars;
-    use xbar_nn::layers::{Conv2d, Flatten, Linear, MaxPool2d, ReLU};
+    use xbar_nn::layers::{Conv2d, Dropout, Flatten, Linear, MaxPool2d, ReLU};
     use xbar_nn::train::{evaluate, DataRef};
     use xbar_nn::{Layer, Mode};
     use xbar_sim::params::CrossbarParams;
@@ -924,6 +924,83 @@ mod tests {
         let msg = err.to_string();
         assert!(matches!(err, ArtifactError::Mismatch(_)), "{msg}");
         assert!(msg.contains("saved values"), "{msg}");
+    }
+
+    /// Saves a model with every layer kind whose spec is bounded (conv and
+    /// max-pool kernel and stride, dropout `p`), swaps the meta text `from`
+    /// for the same-length `to` (so the length prefix stays valid), and
+    /// loads the result as a bundle.
+    fn load_with_meta_patch(from: &str, to: &str) -> Result<ArtifactBundle, ArtifactError> {
+        assert_eq!(from.len(), to.len());
+        let (_, meta) = mapped();
+        let mut model = Sequential::new(vec![
+            Layer::Conv2d(Conv2d::new(1, 2, 3, 1, 1, 1)),
+            Layer::MaxPool2d(MaxPool2d::new(2, 2)),
+            Layer::Flatten(Flatten::new()),
+            Layer::Dropout(Dropout::new(0.25, 3)),
+            Layer::Linear(Linear::new(2 * 4 * 4, 4, 2)),
+        ]);
+        let mut buf = save_to_vec(&mut model, &meta);
+        load_artifact_bundle(buf.as_slice()).expect("the unpatched artifact loads");
+        let meta_len = u64::from_le_bytes(buf[8..16].try_into().unwrap()) as usize;
+        let text = &mut buf[16..16 + meta_len];
+        let at = text
+            .windows(from.len())
+            .position(|w| w == from.as_bytes())
+            .unwrap_or_else(|| panic!("meta lacks {from}"));
+        text[at..at + to.len()].copy_from_slice(to.as_bytes());
+        load_artifact_bundle(buf.as_slice())
+    }
+
+    /// The patched artifact must fail as malformed, naming `field`.
+    fn assert_malformed(from: &str, to: &str, field: &str) {
+        match load_with_meta_patch(from, to) {
+            Err(ArtifactError::Malformed(msg)) => assert!(msg.contains(field), "{to}: {msg}"),
+            other => panic!("{to}: expected a malformed artifact, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_conv_kernel_is_malformed() {
+        assert_malformed(
+            r#""kernel":3,"stride":1"#,
+            r#""kernel":0,"stride":1"#,
+            "kernel",
+        );
+    }
+
+    #[test]
+    fn zero_conv_stride_is_malformed() {
+        assert_malformed(
+            r#""kernel":3,"stride":1"#,
+            r#""kernel":3,"stride":0"#,
+            "stride",
+        );
+    }
+
+    #[test]
+    fn zero_maxpool_kernel_is_malformed() {
+        assert_malformed(
+            r#""maxpool2d","kernel":2"#,
+            r#""maxpool2d","kernel":0"#,
+            "kernel",
+        );
+    }
+
+    #[test]
+    fn zero_maxpool_stride_is_malformed() {
+        assert_malformed(
+            r#""maxpool2d","kernel":2,"stride":2"#,
+            r#""maxpool2d","kernel":2,"stride":0"#,
+            "stride",
+        );
+    }
+
+    #[test]
+    fn dropout_probability_outside_unit_interval_is_malformed() {
+        for p in ["1.25", "-0.5", "1e99"] {
+            assert_malformed(r#""p":0.25"#, &format!(r#""p":{p}"#), "[0, 1)");
+        }
     }
 
     #[test]

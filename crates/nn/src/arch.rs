@@ -164,11 +164,14 @@ impl LayerSpec {
         }
     }
 
-    /// Parses a [`LayerSpec::to_json`] object back.
+    /// Parses a [`LayerSpec::to_json`] object back, rejecting values no
+    /// layer can be built with (a zero kernel or stride, a drop probability
+    /// outside `[0, 1)`), so [`build_from_spec`] never panics on a parsed
+    /// spec.
     ///
     /// # Errors
     ///
-    /// Returns a description of the missing/unknown field.
+    /// Returns a description of the missing, unknown or invalid field.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         let kind = j
             .get("kind")
@@ -180,12 +183,18 @@ impl LayerSpec {
                 .map(|v| v as usize)
                 .ok_or_else(|| format!("layer spec {kind:?} missing field {name:?}"))
         };
+        let nonzero = |name: &str| -> Result<usize, String> {
+            match field(name)? {
+                0 => Err(format!("layer spec {kind:?} has {name:?} 0")),
+                v => Ok(v),
+            }
+        };
         match kind {
             "conv2d" => Ok(LayerSpec::Conv2d {
                 in_c: field("in")?,
                 out_c: field("out")?,
-                kernel: field("kernel")?,
-                stride: field("stride")?,
+                kernel: nonzero("kernel")?,
+                stride: nonzero("stride")?,
                 pad: field("pad")?,
             }),
             "linear" => Ok(LayerSpec::Linear {
@@ -197,15 +206,20 @@ impl LayerSpec {
             }),
             "relu" => Ok(LayerSpec::ReLU),
             "maxpool2d" => Ok(LayerSpec::MaxPool2d {
-                kernel: field("kernel")?,
-                stride: field("stride")?,
+                kernel: nonzero("kernel")?,
+                stride: nonzero("stride")?,
             }),
             "flatten" => Ok(LayerSpec::Flatten),
-            "dropout" => Ok(LayerSpec::Dropout {
-                p: j.get("p")
+            "dropout" => {
+                let p = j
+                    .get("p")
                     .and_then(Json::as_f64)
-                    .ok_or("dropout spec missing \"p\"")? as f32,
-            }),
+                    .ok_or("dropout spec missing \"p\"")? as f32;
+                if !(0.0..1.0).contains(&p) {
+                    return Err(format!("dropout spec has \"p\" {p}, outside [0, 1)"));
+                }
+                Ok(LayerSpec::Dropout { p })
+            }
             other => Err(format!("unknown layer kind {other:?}")),
         }
     }

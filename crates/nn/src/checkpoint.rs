@@ -19,19 +19,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-const MAGIC_V2: &[u8; 8] = b"XBARCKP2";
-const MAGIC_V1: &[u8; 8] = b"XBARCKP1";
-
-/// What a checkpoint contained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadedState {
-    /// Full inference state: parameters plus BatchNorm running statistics.
-    Full,
-    /// Parameters only (v1 checkpoints). BatchNorm running statistics were
-    /// NOT restored — recalibrate them (or retrain) before trusting
-    /// eval-mode outputs.
-    ParamsOnly,
-}
+const MAGIC: &[u8; 8] = b"XBARCKP2";
 
 /// Error from checkpoint loading.
 #[derive(Debug)]
@@ -95,48 +83,30 @@ impl From<TensorBlockError> for CheckpointError {
 /// Returns [`CheckpointError::Io`] on write failure.
 pub fn save_params<W: Write>(model: &mut Sequential, mut writer: W) -> Result<(), CheckpointError> {
     let tensors = model.state_tensors_mut();
-    writer.write_all(MAGIC_V2)?;
+    writer.write_all(MAGIC)?;
     write_tensor_block(writer, tensors.iter().map(|t| &**t))?;
     Ok(())
 }
 
 /// Reads a checkpoint from `reader` into `model`, validating counts and
-/// lengths. Returns whether the checkpoint carried the full inference state
-/// or (v1) parameters only — in the latter case the caller must restore the
-/// BatchNorm running statistics some other way (see
-/// [`LoadedState::ParamsOnly`]).
+/// lengths, and restores the model's full inference state.
 ///
 /// # Errors
 ///
 /// * [`CheckpointError::Io`] on read failure;
 /// * [`CheckpointError::Malformed`] for bad magic or truncation;
 /// * [`CheckpointError::Mismatch`] if the checkpoint does not fit the model.
-pub fn load_params<R: Read>(
-    model: &mut Sequential,
-    mut reader: R,
-) -> Result<LoadedState, CheckpointError> {
+pub fn load_params<R: Read>(model: &mut Sequential, mut reader: R) -> Result<(), CheckpointError> {
     let mut magic = [0u8; 8];
     read_exact_or_truncated(&mut reader, &mut magic, || "reading magic".into())?;
-    let state = if &magic == MAGIC_V2 {
-        LoadedState::Full
-    } else if &magic == MAGIC_V1 {
-        LoadedState::ParamsOnly
-    } else {
+    if &magic != MAGIC {
         return Err(CheckpointError::Malformed(format!(
-            "bad magic {:?} (not an XBARCKP checkpoint)",
+            "bad magic {:?} (not an XBARCKP2 checkpoint)",
             String::from_utf8_lossy(&magic)
         )));
-    };
-    let mut slots: Vec<&mut xbar_tensor::Tensor> = match state {
-        LoadedState::Full => model.state_tensors_mut(),
-        LoadedState::ParamsOnly => model
-            .params_mut()
-            .into_iter()
-            .map(|p| &mut p.value)
-            .collect(),
-    };
-    read_tensor_block_into(reader, &mut slots)?;
-    Ok(state)
+    }
+    read_tensor_block_into(reader, &mut model.state_tensors_mut())?;
+    Ok(())
 }
 
 /// Saves the model's parameters to a file.
@@ -161,7 +131,7 @@ pub fn save_params_to_file(
 pub fn load_params_from_file(
     model: &mut Sequential,
     path: impl AsRef<Path>,
-) -> Result<LoadedState, CheckpointError> {
+) -> Result<(), CheckpointError> {
     let file = std::fs::File::open(path)?;
     load_params(model, io::BufReader::new(file))
 }
@@ -185,8 +155,7 @@ mod tests {
         let mut buf = Vec::new();
         save_params(&mut src, &mut buf).unwrap();
         let mut dst = model(2); // different init
-        let state = load_params(&mut dst, buf.as_slice()).unwrap();
-        assert_eq!(state, LoadedState::Full);
+        load_params(&mut dst, buf.as_slice()).unwrap();
         let mut src2 = src.clone();
         for (a, b) in src2.params_mut().iter().zip(dst.params_mut()) {
             assert_eq!(a.value, b.value);
@@ -226,6 +195,13 @@ mod tests {
         let mut dst = model(3);
         let err = load_params(&mut dst, &b"NOTACKPT........."[..]).unwrap_err();
         assert!(matches!(err, CheckpointError::Malformed(_)));
+        // The retired params-only layout is not read either.
+        let mut src = model(3);
+        let mut buf = Vec::new();
+        save_params(&mut src, &mut buf).unwrap();
+        buf[..8].copy_from_slice(b"XBARCKP1");
+        let err = load_params(&mut dst, buf.as_slice()).unwrap_err();
+        assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! serve --artifact results/vgg11.xbarmdl [--addr 127.0.0.1:7878]
-//!       [--fidelity exact|surrogate|ideal] [--threads N]
+//!       [--fidelity exact|surrogate|ideal]
 //!       [--replicas N] [--max-connections N] [--admission-limit N]
 //!       [--batch-size N] [--batch-deadline-ms N] [--queue-cap N]
 //!       [--timeout-ms N] [--trace-sample N] [--slow-ms N]
@@ -14,19 +14,17 @@
 //! `--replicas` sets the inference replica count (each pulls its own
 //! snapshot of the served model); `--max-connections` caps the epoll set;
 //! `--admission-limit` caps admitted-but-unanswered classify requests
-//! (0 auto-sizes to the pipeline capacity). The legacy `--infer-workers`
-//! flag is an alias for `--replicas`, and `--http-workers` is accepted
-//! and ignored (the event loop replaced the HTTP worker pool).
+//! (0 auto-sizes to the pipeline capacity).
 //!
 //! `--fidelity` picks the default weight set classify requests run
 //! against (requests can override it per call with a `"tier"` body
 //! field); the artifact must carry that tier. Legacy artifacts carry only
 //! `exact`.
 //!
-//! `--threads` (or the `XBAR_THREADS` environment variable) bounds the
-//! compute worker pool used by the tensor kernels — the same knob the
-//! offline pipeline uses; `--threads 0` resets to auto-detection. Exits
-//! gracefully on SIGTERM/SIGINT or `POST /admin/shutdown`.
+//! The `XBAR_THREADS` environment variable bounds the compute worker pool
+//! used by the tensor kernels; it is read once per process, and the
+//! offline pipeline uses the same budget (see `xbar_tensor::threads`).
+//! Exits gracefully on SIGTERM/SIGINT or `POST /admin/shutdown`.
 //!
 //! Tracing: `--trace-sample N` traces one classify request in N (the
 //! response carries a `trace_id` and the queue → batch → solve → respond
@@ -48,12 +46,11 @@ use xbar_serve::{signals, ServeConfig, Server, Tier, TierModels};
 struct Args {
     artifact: String,
     cfg: ServeConfig,
-    threads: Option<usize>,
     trace_out: Option<String>,
 }
 
 fn usage() -> &'static str {
-    "usage: serve --artifact <path.xbarmdl> [--addr HOST:PORT] [--threads N]\n\
+    "usage: serve --artifact <path.xbarmdl> [--addr HOST:PORT]\n\
      \x20             [--fidelity exact|surrogate|ideal]\n\
      \x20             [--replicas N] [--max-connections N] [--admission-limit N]\n\
      \x20             [--batch-size N]\n\
@@ -61,9 +58,8 @@ fn usage() -> &'static str {
      \x20             [--trace-sample N] [--slow-ms N] [--trace-out PATH]\n\
      \x20             [--sweep-interval-ms N] [--probe-count N]\n\
      \x20             [--drift-tau-fast S] [--drift-tau-slow S] [--drift-test-hooks]\n\
-     \x20 --threads 0 resets the compute-thread budget to auto-detection\n\
      \x20 --fidelity picks the default serving tier (default exact)\n\
-     \x20 --replicas N inference replicas (--infer-workers is an alias)\n\
+     \x20 --replicas N inference replicas\n\
      \x20 --max-connections caps concurrently open connections\n\
      \x20 --admission-limit caps in-flight classifies (0 = auto-size)\n\
      \x20 --trace-sample N traces 1-in-N classify requests (0 = off)\n\
@@ -97,7 +93,6 @@ fn next_f64(it: &mut std::slice::Iter<'_, String>, name: &str) -> Result<f64, St
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut artifact = None;
-    let mut threads = None;
     let mut trace_out = None;
     let mut cfg = ServeConfig {
         addr: "127.0.0.1:7878".into(),
@@ -111,15 +106,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--fidelity" => {
                 cfg.default_tier = Tier::parse(next_value(&mut it, "--fidelity")?)?;
             }
-            "--threads" => threads = Some(next_usize(&mut it, "--threads")?),
-            "--replicas" | "--infer-workers" => {
-                cfg.replicas = next_usize(&mut it, flag)?.max(1);
-            }
-            "--http-workers" => {
-                // Obsolete (the event loop replaced the worker pool);
-                // accepted so existing launch scripts keep working.
-                let _ = next_usize(&mut it, "--http-workers")?;
-            }
+            "--replicas" => cfg.replicas = next_usize(&mut it, "--replicas")?.max(1),
             "--max-connections" => {
                 cfg.max_connections = next_usize(&mut it, "--max-connections")?.max(1);
             }
@@ -171,7 +158,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(Args {
         artifact,
         cfg,
-        threads,
         trace_out,
     })
 }
@@ -185,9 +171,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(n) = args.threads {
-        xbar_tensor::threads::set_max_threads(n);
-    }
     // mmap, not read: weights deserialise straight out of the page cache.
     let bundle = match xbar_core::load_artifact_bundle_mmap(&args.artifact) {
         Ok(loaded) => loaded,

@@ -221,6 +221,7 @@ pub fn write_response_with_headers<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Parses `raw` as at most one request, which must use every byte.
     fn parse(raw: &str) -> Result<Option<Request>, HttpError> {
@@ -331,6 +332,78 @@ mod tests {
             try_parse_request(&runaway, 1024),
             Err(HttpError::Bad(_))
         ));
+    }
+
+    /// A `POST /v1/classify` request as a client sends it, the image in
+    /// the `image_b64` body field.
+    fn classify_request(image: &[f32]) -> Vec<u8> {
+        let body = format!(
+            "{{\"image_b64\":\"{}\",\"tier\":\"exact\"}}",
+            crate::base64::encode_f32(image)
+        );
+        format!(
+            "POST /v1/classify HTTP/1.1\r\nHost: 127.0.0.1:7878\r\n\
+             Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any bytes at all parse to a request, a need for more bytes, or a
+        /// typed error; a parsed request never claims more bytes than it
+        /// was given.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in proptest::collection::vec(0u8..=255, 0..=4096),
+        ) {
+            if let Ok(Some((_, consumed))) = try_parse_request(&bytes, 1 << 20) {
+                prop_assert!(consumed <= bytes.len());
+            }
+        }
+
+        /// Every strict prefix of a valid classify request needs more bytes,
+        /// and the whole request parses, consuming exactly its own bytes
+        /// even with the start of a pipelined request behind it.
+        #[test]
+        fn every_prefix_of_a_classify_request_is_incomplete(
+            image in proptest::collection::vec(-4.0f32..4.0, 0..64),
+            next in proptest::collection::vec(0u8..=255, 0..32),
+        ) {
+            let raw = classify_request(&image);
+            for cut in 0..raw.len() {
+                let parsed = try_parse_request(&raw[..cut], 1 << 20);
+                prop_assert!(matches!(parsed, Ok(None)), "prefix {cut}: {parsed:?}");
+            }
+            let mut pipelined = raw.clone();
+            pipelined.extend_from_slice(&next);
+            let (req, consumed) = try_parse_request(&pipelined, 1 << 20)
+                .map_err(|e| TestCaseError::fail(format!("{e:?}")))?
+                .ok_or_else(|| TestCaseError::fail("complete request unparsed"))?;
+            prop_assert_eq!(consumed, raw.len());
+            prop_assert_eq!(req.method.as_str(), "POST");
+            prop_assert_eq!(req.path.as_str(), "/v1/classify");
+            prop_assert!(!req.body.is_empty() && raw.ends_with(&req.body));
+        }
+
+        /// A first line that cannot be a request line (one or more bytes,
+        /// none a space or a line ending) is a 400, whatever follows.
+        #[test]
+        fn garbage_request_lines_are_bad_requests(
+            line in proptest::collection::vec(
+                prop_oneof![0u8..=9, 11u8..=12, 14u8..=31, 33u8..=255],
+                1..512,
+            ),
+            rest in proptest::collection::vec(0u8..=255, 0..64),
+        ) {
+            let mut raw = line;
+            raw.extend_from_slice(b"\r\n");
+            raw.extend_from_slice(&rest);
+            let parsed = try_parse_request(&raw, 1 << 20);
+            prop_assert!(matches!(parsed, Err(HttpError::Bad(_))), "{parsed:?}");
+        }
     }
 
     #[test]

@@ -118,20 +118,6 @@ pub fn train_surrogate(cfg: &TrainConfig) -> Result<Surrogate, String> {
         }
     }
 
-    if std::env::var_os("XBAR_SURROGATE_DEBUG").is_some() {
-        let stats = |label: &str, rows: Vec<usize>| {
-            let vals: Vec<f32> = rows
-                .iter()
-                .flat_map(|&r| targets[r * cols..(r + 1) * cols].iter().copied())
-                .collect();
-            let mean = vals.iter().sum::<f32>() / vals.len() as f32;
-            let var = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / vals.len() as f32;
-            eprintln!("{label}: n={} mean={mean:.5} var={var:.6}", vals.len());
-        };
-        stats("nominal", (0..cfg.pairs).filter(|i| i % 2 == 0).collect());
-        stats("sparse ", (0..cfg.pairs).filter(|i| i % 2 == 1).collect());
-    }
-
     // Deterministic split: shuffle indices, first `holdout` become the
     // validation set.
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5D0_77E5);
@@ -166,8 +152,6 @@ pub fn train_surrogate(cfg: &TrainConfig) -> Result<Surrogate, String> {
             weight_decay: 0.0,
         });
         shuffle(&mut train_idx, &mut rng);
-        let mut epoch_loss = 0.0f64;
-        let mut batches = 0usize;
         for chunk in train_idx.chunks(cfg.batch) {
             let x = gather(&features, chunk, in_dim);
             let t = gather(&targets, chunk, cols);
@@ -181,21 +165,10 @@ pub fn train_surrogate(cfg: &TrainConfig) -> Result<Surrogate, String> {
             let grad = Tensor::from_fn(pred.shape(), |i| {
                 2.0 * (pred.as_slice()[i] - t.as_slice()[i]) / n
             });
-            epoch_loss += pred
-                .as_slice()
-                .iter()
-                .zip(t.as_slice())
-                .map(|(&p, &e)| ((p - e) * (p - e)) as f64)
-                .sum::<f64>()
-                / (chunk.len() * cols) as f64;
-            batches += 1;
             net.backward(&grad)
                 .map_err(|e| format!("surrogate backward: {e}"))?;
             sgd.step(&mut net);
             net.zero_grad();
-        }
-        if std::env::var_os("XBAR_SURROGATE_DEBUG").is_some() && epoch % 10 == 0 {
-            eprintln!("epoch {epoch}: mse {}", epoch_loss / batches as f64);
         }
     }
 

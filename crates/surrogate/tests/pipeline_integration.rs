@@ -1,6 +1,7 @@
 //! End-to-end: a trained surrogate plugged into the mapping pipeline must
 //! reproduce the exact solver's `W'` weights closely, and must do so
-//! deterministically regardless of run or tensor thread count.
+//! deterministically from run to run. (That the tensor kernels give the same
+//! bits at any worker count is `xbar-tensor`'s own test.)
 
 use proptest::prelude::*;
 use xbar_core::pipeline::{map_to_crossbars, map_to_crossbars_with, MapConfig};
@@ -78,13 +79,10 @@ fn emulated_mapping_tracks_the_exact_solver() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Satellite: surrogate inference is deterministic across runs and
-    /// tensor thread counts for a fixed seed.
+    /// Satellite: surrogate training and inference are deterministic across
+    /// runs for a fixed seed.
     #[test]
-    fn inference_is_deterministic_across_runs_and_thread_counts(
-        seed in 0u64..1u64 << 16,
-        threads in 1usize..5,
-    ) {
+    fn inference_is_deterministic_across_runs(seed in 0u64..1u64 << 16) {
         let cfg = {
             // Train fast: determinism, not accuracy, is under test.
             let mut c = quick_train(seed);
@@ -93,7 +91,6 @@ proptest! {
             c.epochs = 4;
             c
         };
-        let baseline = xbar_tensor::threads::max_threads();
         let a = train_surrogate(&cfg).unwrap();
         let b = train_surrogate(&cfg).unwrap();
         prop_assert_eq!(a.meta(), b.meta());
@@ -105,9 +102,7 @@ proptest! {
         );
         let v = vec![cfg.params.v_read; 8];
         let one = a.predict_currents(&g, &v).unwrap();
-        xbar_tensor::threads::set_max_threads(threads);
         let other = b.predict_currents(&g, &v).unwrap();
-        xbar_tensor::threads::set_max_threads(baseline);
-        prop_assert_eq!(one, other, "thread count changed the prediction");
+        prop_assert_eq!(one, other, "a second run changed the prediction");
     }
 }

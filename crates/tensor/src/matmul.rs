@@ -333,20 +333,27 @@ struct Gemm<'a> {
 
 impl Gemm<'_> {
     /// Runs the call on the row-major `m×n` matrix `c`, splitting its rows
-    /// over threads when the call is large enough. Threads never split `k`
-    /// or the batch: each one runs every sum of its rows to the end.
+    /// over the thread budget when the call is large enough.
     fn run(&self, c: &mut [f32]) {
+        let macs = self.m * self.n * self.k * self.batch;
+        let workers = if macs < PARALLEL_THRESHOLD {
+            1
+        } else {
+            crate::threads::max_threads()
+        };
+        self.run_on(c, workers);
+    }
+
+    /// [`Gemm::run`] on at most `workers` threads. Threads never split `k`
+    /// or the batch: each one runs every sum of its rows to the end, so the
+    /// result is the same bits whatever the worker count.
+    fn run_on(&self, c: &mut [f32], workers: usize) {
         debug_assert_eq!(c.len(), self.m * self.n);
         if self.m == 0 || self.n == 0 {
             return;
         }
         let slivers = self.m.div_ceil(MR);
-        let macs = self.m * self.n * self.k * self.batch;
-        let workers = if macs < PARALLEL_THRESHOLD {
-            1
-        } else {
-            crate::threads::max_threads().min(slivers)
-        };
+        let workers = workers.min(slivers);
         if workers <= 1 {
             gemm_rows(self, 0, c);
             return;
@@ -644,6 +651,64 @@ mod tests {
             false,
         );
         assert_same_bits(&a.matmul_a_bt(&bt).unwrap(), &want);
+    }
+
+    #[test]
+    fn every_worker_count_gives_the_same_bits() {
+        // 37 rows are 10 register slivers, so 1..=5 workers each get a
+        // different split with a ragged last block; k crosses a KC block.
+        let (m, n, k, batch) = (37, 29, KC + 45, 2);
+        let mut a = rand_tensor(&[batch * m, k], 41);
+        let b = rand_tensor(&[batch * k, n], 42);
+        a.as_mut_slice()[3 * k..4 * k].fill(0.0);
+        let (av, bv) = (a.as_slice(), b.as_slice());
+        let calls = [
+            // A fresh product whose sums carry through C between k blocks.
+            Gemm {
+                m,
+                n,
+                k,
+                batch: 1,
+                a: Strided::row_major(av, k),
+                b: Strided::row_major(bv, n),
+                skip_zero_a: true,
+                fresh: true,
+            },
+            // A batch of products added in order (the dW accumulation).
+            Gemm {
+                m,
+                n,
+                k,
+                batch,
+                a: Strided {
+                    batch: m * k,
+                    ..Strided::row_major(av, k)
+                },
+                b: Strided {
+                    batch: k * n,
+                    ..Strided::row_major(bv, n)
+                },
+                skip_zero_a: false,
+                fresh: false,
+            },
+        ];
+        for (call, gemm) in calls.iter().enumerate() {
+            let mut one = vec![0.0f32; m * n];
+            gemm.run_on(&mut one, 1);
+            for workers in 2..=5 {
+                let mut c = vec![0.0f32; m * n];
+                gemm.run_on(&mut c, workers);
+                if let Err(e) = same_bits(&c, &one) {
+                    panic!("call {call}, {workers} workers: {e}");
+                }
+            }
+        }
+        let want = naive((m, n, k), |i, p| av[i * k + p], |p, j| bv[p * n + j], true);
+        let mut c = vec![0.0f32; m * n];
+        calls[0].run_on(&mut c, 3);
+        if let Err(e) = same_bits(&c, want.as_slice()) {
+            panic!("3 workers vs the oracle: {e}");
+        }
     }
 
     #[test]
