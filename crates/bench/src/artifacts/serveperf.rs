@@ -84,7 +84,6 @@ fn start_server(path: &std::path::Path, replicas: usize) -> Result<Server, Strin
         ServeConfig {
             replicas,
             max_batch: 64,
-            batch_deadline: Duration::from_millis(2),
             queue_cap: 1024,
             request_timeout: Duration::from_secs(30),
             ..ServeConfig::default()

@@ -71,6 +71,7 @@ pub const SERVE_BATCHES: &str = "serve/batches";
 pub const SERVE_BATCH_SIZE: &str = "serve/batch_size";
 pub const SERVE_INFER_US: &str = "serve/infer_us";
 pub const SERVE_PARSE_US: &str = "serve/parse_us";
+pub const SERVE_QUEUE_US: &str = "serve/queue_us";
 pub const SERVE_SLOW_REQUESTS: &str = "serve/slow_requests";
 pub const SERVE_TRACE_SAMPLED: &str = "serve/trace_sampled";
 pub const SERVE_TRACE_SPANS_DROPPED: &str = "serve/trace_spans_dropped";
@@ -301,6 +302,11 @@ pub const REGISTRY: &[MetricDef] = &[
         name: SERVE_PARSE_US,
         kind: MetricKind::LogHistogram,
         help: "classify body parse on the event-loop thread: JSON, tier and image (µs)",
+    },
+    MetricDef {
+        name: SERVE_QUEUE_US,
+        kind: MetricKind::LogHistogram,
+        help: "classify request wait in the batch queue, enqueue to batch start (µs)",
     },
     MetricDef {
         name: SERVE_FIDELITY_TIER,
@@ -620,6 +626,7 @@ mod tests {
             SERVE_QUEUE_DEPTH,
             SERVE_INFER_US,
             SERVE_PARSE_US,
+            SERVE_QUEUE_US,
             SERVE_SLOW_REQUESTS,
             SERVE_TRACE_SAMPLED,
             SERVE_TRACE_SPANS_DROPPED,

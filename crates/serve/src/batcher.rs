@@ -1,11 +1,13 @@
 //! Micro-batching request queue.
 //!
-//! Classify requests land in a bounded [`BatchQueue`]; an inference worker
-//! pulls a batch — flushing as soon as either `max_batch` requests are
-//! waiting or `batch_deadline` has passed since it started collecting — and
-//! runs ONE [`Sequential::forward`] over the stacked `[n, C, H, W]` input.
-//! Each request's [`ResponseSlot`] is then filled with its row of the
-//! softmaxed logits.
+//! Classify requests land in a bounded [`BatchQueue`]. Batching is
+//! work-conserving: an idle inference replica takes whatever is queued, up
+//! to `max_batch`, the moment the first request arrives, and never holds a
+//! batch open waiting for more. Under load, batches form from the requests
+//! that queue up while the replicas run the previous forward pass. Each
+//! batch runs ONE [`Sequential::forward`] over the stacked `[n, C, H, W]`
+//! input, and each request's [`ResponseSlot`] is then filled with its row
+//! of the softmaxed logits.
 //!
 //! Batching is exact, not approximate: every layer in the workspace
 //! processes batch rows independently (BatchNorm runs in `Eval` mode on its
@@ -222,12 +224,11 @@ impl BatchQueue {
         self.cond.notify_all();
     }
 
-    /// Collects the next micro-batch: blocks for the first request, then
-    /// keeps collecting until `max_batch` requests are in hand or
-    /// `deadline` has passed since the first arrived. Returns `None` once
-    /// the queue is closed *and* drained — the worker's exit signal.
-    pub fn next_batch(&self, max_batch: usize, deadline: Duration) -> Option<Vec<Pending>> {
-        let max_batch = max_batch.max(1);
+    /// Takes the next micro-batch: blocks until a request is queued, then
+    /// drains what is waiting, up to `max_batch`, in FIFO order without
+    /// waiting for more. Returns `None` once the queue is closed *and*
+    /// drained — the worker's exit signal.
+    pub fn next_batch(&self, max_batch: usize) -> Option<Vec<Pending>> {
         let mut state = self.state.lock().expect("batch queue poisoned");
         while state.items.is_empty() {
             if state.closed {
@@ -235,25 +236,7 @@ impl BatchQueue {
             }
             state = self.cond.wait(state).expect("batch queue poisoned");
         }
-        let flush_at = Instant::now() + deadline;
-        loop {
-            if state.items.len() >= max_batch || state.closed {
-                break;
-            }
-            let now = Instant::now();
-            if now >= flush_at {
-                break;
-            }
-            let (next, wait) = self
-                .cond
-                .wait_timeout(state, flush_at - now)
-                .expect("batch queue poisoned");
-            state = next;
-            if wait.timed_out() {
-                break;
-            }
-        }
-        let n = state.items.len().min(max_batch);
+        let n = state.items.len().min(max_batch.max(1));
         let batch = state.items.drain(..n).collect();
         metrics::gauge_set(names::SERVE_QUEUE_DEPTH, state.items.len() as f64);
         Some(batch)
@@ -282,6 +265,10 @@ pub fn classify_batch(model: &mut Sequential, input_shape: &[usize], batch: Vec<
     let per_example: usize = input_shape.iter().product();
     let mut stacked = Vec::with_capacity(n * per_example);
     for pending in &batch {
+        metrics::latency_record_us(
+            names::SERVE_QUEUE_US,
+            batch_start_us.saturating_sub(pending.enqueued_us),
+        );
         stacked.extend_from_slice(&pending.input);
     }
     let mut shape = Vec::with_capacity(1 + input_shape.len());
@@ -345,26 +332,10 @@ pub fn classify_batch(model: &mut Sequential, input_shape: &[usize], batch: Vec<
     }
 }
 
-/// Inference worker loop: pulls micro-batches until the queue closes.
-/// Each worker owns its own [`TierModels`] clone, so multiple loops can
-/// run concurrently without locking the networks. A pulled batch may mix
-/// fidelity tiers; it is split into per-tier sub-batches, each sharing one
-/// forward pass through that tier's weight set.
-pub fn inference_loop(
-    mut models: TierModels,
-    input_shape: &[usize],
-    queue: &BatchQueue,
-    max_batch: usize,
-    deadline: Duration,
-) {
-    while let Some(batch) = queue.next_batch(max_batch, deadline) {
-        run_tier_batches(&mut models, input_shape, batch);
-    }
-}
-
 /// Splits one pulled batch into per-tier sub-batches and runs each through
-/// the matching model. Shared between [`inference_loop`] and the hot-swap
-/// worker loop in [`crate::lifecycle`].
+/// the matching model, each sub-batch sharing one forward pass through that
+/// tier's weight set. The replica loop,
+/// [`crate::lifecycle::replica_inference_loop`], calls this per batch.
 pub fn run_tier_batches(models: &mut TierModels, input_shape: &[usize], batch: Vec<Pending>) {
     let mut groups: [Vec<Pending>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     for pending in batch {
@@ -397,6 +368,7 @@ pub fn run_tier_batches(models: &mut TierModels, input_shape: &[usize], batch: V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::{replica_inference_loop, ModelSlot};
     use std::thread;
     use xbar_nn::layers::{Conv2d, Flatten, Linear, MaxPool2d, ReLU};
     use xbar_nn::Layer;
@@ -454,6 +426,11 @@ mod tests {
         }
     }
 
+    /// A slot serving `models` under the tests' `[1, 8, 8]` input shape.
+    fn model_slot(models: TierModels) -> ModelSlot {
+        ModelSlot::new(models, crate::lifecycle::tests::meta_for("batcher-test"))
+    }
+
     #[test]
     fn queue_flushes_on_batch_size() {
         let queue = BatchQueue::new(16);
@@ -462,24 +439,46 @@ mod tests {
                 .submit(Pending::new(image(i), ResponseSlot::new()))
                 .unwrap();
         }
-        // Deadline far away: the size trigger must flush immediately.
-        let batch = queue.next_batch(4, Duration::from_secs(60)).unwrap();
+        let batch = queue.next_batch(4).unwrap();
         assert_eq!(batch.len(), 4);
     }
 
     #[test]
-    fn queue_flushes_on_deadline_with_partial_batch() {
+    fn a_lone_request_is_taken_at_once() {
         let queue = BatchQueue::new(16);
         queue
             .submit(Pending::new(image(0), ResponseSlot::new()))
             .unwrap();
+        // Nothing else is coming and the batch has room for 64: the request
+        // still leaves the queue without waiting for company.
         let start = Instant::now();
-        let batch = queue.next_batch(64, Duration::from_millis(30)).unwrap();
+        let batch = queue.next_batch(64).unwrap();
         assert_eq!(batch.len(), 1);
+        assert_eq!(batch[0].input, image(0));
+        assert_eq!(queue.depth(), 0);
         assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "deadline flush must not hang"
+            start.elapsed() < Duration::from_secs(1),
+            "a queued request must not wait for a fuller batch"
         );
+    }
+
+    #[test]
+    fn queued_requests_leave_in_fifo_batches_of_at_most_max_batch() {
+        let queue = BatchQueue::new(16);
+        for i in 0..5 {
+            queue
+                .submit(Pending::new(image(i), ResponseSlot::new()))
+                .unwrap();
+        }
+        let inputs = |batch: Vec<Pending>| -> Vec<Vec<f32>> {
+            batch.into_iter().map(|pending| pending.input).collect()
+        };
+        let first = inputs(queue.next_batch(4).unwrap());
+        assert_eq!(first, (0..4).map(image).collect::<Vec<_>>());
+        assert_eq!(queue.depth(), 1);
+        let second = inputs(queue.next_batch(4).unwrap());
+        assert_eq!(second, vec![image(4)]);
+        assert_eq!(queue.depth(), 0);
     }
 
     #[test]
@@ -507,9 +506,9 @@ mod tests {
             queue.submit(Pending::new(image(1), ResponseSlot::new())),
             Err(SubmitError::Closed)
         ));
-        let drained = queue.next_batch(8, Duration::from_millis(1)).unwrap();
+        let drained = queue.next_batch(8).unwrap();
         assert_eq!(drained.len(), 1);
-        assert!(queue.next_batch(8, Duration::from_millis(1)).is_none());
+        assert!(queue.next_batch(8).is_none());
     }
 
     #[test]
@@ -554,14 +553,8 @@ mod tests {
         };
         let mut reference = models.clone();
         let queue = BatchQueue::new(16);
-        let worker = {
-            let queue = Arc::clone(&queue);
-            let models = models.clone();
-            thread::spawn(move || {
-                inference_loop(models, &[1, 8, 8], &queue, 16, Duration::from_millis(20));
-            })
-        };
-        // 2 exact + 2 ideal requests land in one pulled batch.
+        // 2 exact + 2 ideal requests are queued before the replica starts,
+        // so they land in one pulled batch.
         let tiers = [Tier::Exact, Tier::Ideal, Tier::Exact, Tier::Ideal];
         let slots: Vec<Arc<ResponseSlot>> = (0..4).map(|_| ResponseSlot::new()).collect();
         for (i, (tier, slot)) in tiers.iter().zip(&slots).enumerate() {
@@ -569,6 +562,8 @@ mod tests {
                 .submit(Pending::for_tier(*tier, image(i), Arc::clone(slot)))
                 .unwrap();
         }
+        queue.close();
+        replica_inference_loop(&model_slot(models), &queue, 16, None);
         for (i, (tier, slot)) in tiers.iter().zip(&slots).enumerate() {
             let outcome = slot
                 .wait(Duration::from_secs(5))
@@ -589,15 +584,11 @@ mod tests {
                 outcome.scores, expected.scores,
                 "request {i} must run on the {tier} weights"
             );
-            assert!(
-                outcome.batch_size <= 2,
-                "sub-batch holds at most the requests of its own tier, \
-                 got {}",
-                outcome.batch_size
+            assert_eq!(
+                outcome.batch_size, 2,
+                "sub-batch holds exactly the requests of its own tier"
             );
         }
-        queue.close();
-        worker.join().unwrap();
     }
 
     #[test]
@@ -613,7 +604,7 @@ mod tests {
             ))
             .unwrap();
         queue.close();
-        inference_loop(models, &[1, 8, 8], &queue, 4, Duration::from_millis(1));
+        replica_inference_loop(&model_slot(models), &queue, 4, None);
         let err = slot
             .wait(Duration::from_secs(1))
             .expect("filled")
@@ -629,7 +620,7 @@ mod tests {
             let queue = Arc::clone(&queue);
             thread::spawn(move || {
                 let mut model = tiny_model();
-                while let Some(batch) = queue.next_batch(4, Duration::from_millis(5)) {
+                while let Some(batch) = queue.next_batch(4) {
                     classify_batch(&mut model, &meta_shape, batch);
                 }
             })

@@ -4,9 +4,8 @@
 //! serve --artifact results/vgg11.xbarmdl [--addr 127.0.0.1:7878]
 //!       [--fidelity exact|surrogate|ideal]
 //!       [--replicas N] [--max-connections N] [--admission-limit N]
-//!       [--batch-size N] [--batch-deadline-ms N] [--queue-cap N]
-//!       [--timeout-ms N] [--trace-sample N] [--slow-ms N]
-//!       [--trace-out PATH]
+//!       [--batch-size N] [--queue-cap N] [--timeout-ms N]
+//!       [--trace-sample N] [--slow-ms N] [--trace-out PATH]
 //!       [--sweep-interval-ms N] [--probe-count N]
 //!       [--drift-tau-fast S] [--drift-tau-slow S] [--drift-test-hooks]
 //! ```
@@ -14,7 +13,9 @@
 //! `--replicas` sets the inference replica count (each pulls its own
 //! snapshot of the served model); `--max-connections` caps the epoll set;
 //! `--admission-limit` caps admitted-but-unanswered classify requests
-//! (0 auto-sizes to the pipeline capacity).
+//! (0 auto-sizes to the pipeline capacity). `--batch-size` caps a
+//! micro-batch: an idle replica takes what is queued, up to that many,
+//! without waiting for more.
 //!
 //! `--fidelity` picks the default weight set classify requests run
 //! against (requests can override it per call with a `"tier"` body
@@ -53,8 +54,7 @@ fn usage() -> &'static str {
     "usage: serve --artifact <path.xbarmdl> [--addr HOST:PORT]\n\
      \x20             [--fidelity exact|surrogate|ideal]\n\
      \x20             [--replicas N] [--max-connections N] [--admission-limit N]\n\
-     \x20             [--batch-size N]\n\
-     \x20             [--batch-deadline-ms N] [--queue-cap N] [--timeout-ms N]\n\
+     \x20             [--batch-size N] [--queue-cap N] [--timeout-ms N]\n\
      \x20             [--trace-sample N] [--slow-ms N] [--trace-out PATH]\n\
      \x20             [--sweep-interval-ms N] [--probe-count N]\n\
      \x20             [--drift-tau-fast S] [--drift-tau-slow S] [--drift-test-hooks]\n\
@@ -62,6 +62,8 @@ fn usage() -> &'static str {
      \x20 --replicas N inference replicas\n\
      \x20 --max-connections caps concurrently open connections\n\
      \x20 --admission-limit caps in-flight classifies (0 = auto-size)\n\
+     \x20 --batch-size N caps a micro-batch; an idle replica takes what is\n\
+     \x20   queued, up to N, without waiting for more (default 32)\n\
      \x20 --trace-sample N traces 1-in-N classify requests (0 = off)\n\
      \x20 --slow-ms N dumps requests slower than N ms to stderr (0 = off)\n\
      \x20 --trace-out PATH writes the JSONL observability sink at shutdown\n\
@@ -115,10 +117,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--batch-size" => {
                 cfg.max_batch = next_usize(&mut it, "--batch-size")?.max(1);
-            }
-            "--batch-deadline-ms" => {
-                cfg.batch_deadline =
-                    Duration::from_millis(next_usize(&mut it, "--batch-deadline-ms")? as u64);
             }
             "--queue-cap" => {
                 cfg.queue_cap = next_usize(&mut it, "--queue-cap")?.max(1);

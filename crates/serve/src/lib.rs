@@ -40,9 +40,10 @@
 //!
 //! Concurrent classify requests are micro-batched ([`batcher`]) and
 //! executed by a pool of [`server::ServeConfig::replicas`] inference
-//! threads: requests share one `Sequential::forward` whenever they arrive
-//! within the flush window, and both batching and replication are
-//! bit-exact with respect to single-replica single-request execution.
+//! threads: an idle replica takes whatever is queued at once, so requests
+//! share one `Sequential::forward` whenever they queue up while the
+//! replicas are busy, and both batching and replication are bit-exact
+//! with respect to single-replica single-request execution.
 //!
 //! Overload is layered and always an explicit answer, never a silent
 //! drop: admission control sheds classifies *before* body parsing with a

@@ -2,7 +2,7 @@
 //! and the re-program → re-map → hot-swap mitigation ladder.
 //!
 //! The serving process holds its networks in a versioned [`ModelSlot`].
-//! Inference workers run [`hot_swap_inference_loop`]: each owns a private
+//! Inference replicas run [`replica_inference_loop`]: each owns a private
 //! [`TierModels`] clone and re-clones from the slot *between* micro-batches
 //! whenever the published version moves — an in-flight batch always finishes
 //! on the weights it started with, so a swap can never fail a request.
@@ -261,29 +261,19 @@ impl ModelSlot {
     }
 }
 
-/// Inference worker loop with hot-swap support: like
-/// [`crate::batcher::inference_loop`] but re-clones from the [`ModelSlot`]
-/// between micro-batches whenever the published version moves. In-flight
+/// Inference worker loop of one replica: pulls micro-batches until the
+/// queue closes and runs each through its private [`TierModels`] clone,
+/// split into per-tier sub-batches. It re-clones from the [`ModelSlot`]
+/// between micro-batches whenever the published version moves; in-flight
 /// batches always complete on the clone they started with, which is what
-/// makes artifact swaps lossless.
-pub fn hot_swap_inference_loop(
-    slot: &ModelSlot,
-    queue: &BatchQueue,
-    max_batch: usize,
-    deadline: Duration,
-) {
-    replica_inference_loop(slot, queue, max_batch, deadline, None);
-}
-
-/// [`hot_swap_inference_loop`] for one replica of the serving pool: same
-/// semantics, plus every request it executes is counted on that replica's
-/// `serve/replica_requests/<id>` series so replica fairness is observable
-/// (and testable) from `/metrics`.
+/// makes artifact swaps lossless. With `replica` set, every request it
+/// executes is counted on that replica's `serve/replica_requests/<id>`
+/// series so replica fairness is observable (and testable) from
+/// `/metrics`.
 pub fn replica_inference_loop(
     slot: &ModelSlot,
     queue: &BatchQueue,
     max_batch: usize,
-    deadline: Duration,
     replica: Option<usize>,
 ) {
     // Reloads are validated shape-compatible, so the input shape is stable
@@ -291,7 +281,7 @@ pub fn replica_inference_loop(
     let input_shape = slot.meta().input_shape.clone();
     let counter = replica.map(names::serve_replica_requests);
     let (mut version, mut models) = slot.snapshot();
-    while let Some(batch) = queue.next_batch(max_batch, deadline) {
+    while let Some(batch) = queue.next_batch(max_batch) {
         if slot.version() != version {
             let (v, m) = slot.snapshot();
             version = v;
@@ -657,7 +647,7 @@ fn probe_forward(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use xbar_nn::layers::{Conv2d, Flatten, Linear, MaxPool2d, ReLU};
     use xbar_nn::Layer;
@@ -675,7 +665,7 @@ mod tests {
         ])
     }
 
-    fn meta_for(label: &str) -> ArtifactMeta {
+    pub(crate) fn meta_for(label: &str) -> ArtifactMeta {
         ArtifactMeta {
             label: label.into(),
             num_classes: CLASSES,

@@ -95,10 +95,9 @@ pub struct ServeConfig {
     /// Inference replicas, each with its own snapshot of the served
     /// model pulled from the versioned slot.
     pub replicas: usize,
-    /// Micro-batch flush threshold.
+    /// Most requests one micro-batch carries. An idle replica takes what
+    /// is queued, up to this many, without waiting for more.
     pub max_batch: usize,
-    /// Micro-batch flush deadline (from first queued request).
-    pub batch_deadline: Duration,
     /// Bounded batch-queue capacity (overflow ⇒ 503).
     pub queue_cap: usize,
     /// Per-request wait budget before the client gets a 504.
@@ -139,7 +138,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             replicas: 1,
             max_batch: 32,
-            batch_deadline: Duration::from_millis(2),
             queue_cap: 256,
             request_timeout: Duration::from_secs(10),
             max_body: 32 << 20,
@@ -254,6 +252,13 @@ fn error_json(detail: &str) -> Json {
     Json::Obj(vec![("error".into(), Json::Str(detail.into()))])
 }
 
+/// The inference replicas of a launched server, not yet running.
+struct Replicas {
+    slot: Arc<ModelSlot>,
+    count: usize,
+    max_batch: usize,
+}
+
 /// A running server; drop-in handle for tests, the binary, and CI smoke.
 pub struct Server {
     addr: SocketAddr,
@@ -288,6 +293,20 @@ impl Server {
         meta: ArtifactMeta,
         cfg: ServeConfig,
     ) -> io::Result<Server> {
+        let (mut server, replicas) = Server::launch(models, meta, cfg)?;
+        server.spawn_replicas(replicas);
+        Ok(server)
+    }
+
+    /// Everything `start_tiered` does except starting the inference
+    /// replicas: the server accepts, parses and queues requests, and
+    /// `spawn_replicas` starts serving them. Tests call the two apart to
+    /// park requests in the queue.
+    fn launch(
+        models: TierModels,
+        meta: ArtifactMeta,
+        cfg: ServeConfig,
+    ) -> io::Result<(Server, Replicas)> {
         if !models.has(cfg.default_tier) {
             return Err(io::Error::new(
                 ErrorKind::InvalidInput,
@@ -320,20 +339,11 @@ impl Server {
             None
         };
 
-        let infer_handles: Vec<JoinHandle<()>> = (0..cfg.replicas.max(1))
-            .map(|i| {
-                let replica_slot = Arc::clone(&slot);
-                let queue = Arc::clone(&batch_queue);
-                let max_batch = cfg.max_batch;
-                let deadline = cfg.batch_deadline;
-                thread::Builder::new()
-                    .name(format!("xbar-infer-{i}"))
-                    .spawn(move || {
-                        replica_inference_loop(&replica_slot, &queue, max_batch, deadline, Some(i));
-                    })
-                    .expect("spawn inference replica")
-            })
-            .collect();
+        let replicas = Replicas {
+            slot: Arc::clone(&slot),
+            count: cfg.replicas.max(1),
+            max_batch: cfg.max_batch,
+        };
 
         let sweep_handle = match &lifecycle {
             Some(controller) if cfg.lifecycle.sweep_interval > Duration::ZERO => {
@@ -386,15 +396,31 @@ impl Server {
             metrics::gauge_set(names::SERVE_SURROGATE_VAL_MAX_ERR, s.val_max_err);
             metrics::gauge_set(names::SERVE_SURROGATE_VAL_RMS_ERR, s.val_rms_err);
         }
-        Ok(Server {
+        let server = Server {
             addr,
             shutdown,
             loop_handle: Some(loop_handle),
-            infer_handles,
+            infer_handles: Vec::new(),
             sweep_handle,
             batch_queue,
             trace_ring,
-        })
+        };
+        Ok((server, replicas))
+    }
+
+    /// Starts the inference replicas, each pulling micro-batches from the
+    /// batch queue.
+    fn spawn_replicas(&mut self, replicas: Replicas) {
+        for i in 0..replicas.count {
+            let slot = Arc::clone(&replicas.slot);
+            let queue = Arc::clone(&self.batch_queue);
+            let max_batch = replicas.max_batch;
+            let handle = thread::Builder::new()
+                .name(format!("xbar-infer-{i}"))
+                .spawn(move || replica_inference_loop(&slot, &queue, max_batch, Some(i)))
+                .expect("spawn inference replica");
+            self.infer_handles.push(handle);
+        }
     }
 
     /// The bound address (resolves `:0` to the picked port).
@@ -1058,3 +1084,6 @@ pub(crate) fn finish_inflight(
     );
     (bytes, keep_alive)
 }
+
+#[cfg(test)]
+mod tests;

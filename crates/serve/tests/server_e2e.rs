@@ -1,79 +1,30 @@
 //! End-to-end server tests: map a tiny model to crossbars, persist it as
 //! an `XBARMDL1` artifact, serve it, and drive it over real sockets.
+//!
+//! Tests that park requests in the batch queue must start the server with
+//! its inference replicas held back, which only the crate itself can do;
+//! they live in `src/server/tests.rs` and share the fixtures in
+//! `support/`.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+mod support;
+
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use support::{
+    counter_value, image, image_json, mapped_via_artifact, scores_of, tiny_model, unique_temp_dir,
+    CLASSES, INPUT_SHAPE,
+};
 use xbar_core::pipeline::{map_to_crossbars, MapConfig};
 use xbar_core::{load_artifact_from_file, save_artifact_to_file, ArtifactBundle, ArtifactMeta};
 use xbar_nn::arch::{build_from_spec, LayerSpec};
-use xbar_nn::layers::{Conv2d, Flatten, Linear, MaxPool2d, ReLU};
-use xbar_nn::{Layer, Mode, Sequential};
+use xbar_nn::Mode;
 use xbar_obs::json::Json;
 use xbar_serve::{Client, LifecycleConfig, ServeConfig, Server, Tier, TierModels};
 use xbar_sim::params::CrossbarParams;
 use xbar_tensor::Tensor;
-
-const INPUT_SHAPE: [usize; 3] = [1, 8, 8];
-const CLASSES: usize = 4;
-
-fn tiny_model() -> Sequential {
-    Sequential::new(vec![
-        Layer::Conv2d(Conv2d::new(1, 8, 3, 1, 1, 1)),
-        Layer::ReLU(ReLU::new()),
-        Layer::MaxPool2d(MaxPool2d::new(2, 2)),
-        Layer::Flatten(Flatten::new()),
-        Layer::Linear(Linear::new(8 * 4 * 4, CLASSES, 2)),
-    ])
-}
-
-/// A fresh temp directory for one artifact. Tests run in parallel and
-/// several share a tag, so the name carries the pid and a per-call counter:
-/// no test can remove another's directory mid-save.
-fn unique_temp_dir(tag: &str) -> std::path::PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "xbar_serve_e2e_{}_{}_{tag}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir
-}
-
-/// Maps the tiny model and returns (mapped model, meta) via a real
-/// artifact file round-trip, exactly like production serving.
-fn mapped_via_artifact(tag: &str) -> (Sequential, ArtifactMeta) {
-    let model = tiny_model();
-    let mut params = CrossbarParams::with_size(16);
-    params.sigma_variation = 0.0;
-    let cfg = MapConfig {
-        params,
-        ..Default::default()
-    };
-    let (mut noisy, report) = map_to_crossbars(&model, &cfg).expect("mapping succeeds");
-    let mut meta = ArtifactMeta::from_mapping("e2e tiny model", &cfg, &report);
-    meta.input_shape = INPUT_SHAPE.to_vec();
-    let dir = unique_temp_dir(tag);
-    let path = dir.join("model.xbarmdl");
-    save_artifact_to_file(&mut noisy, &meta, &path).expect("save artifact");
-    let loaded = load_artifact_from_file(&path).expect("load artifact");
-    std::fs::remove_dir_all(&dir).ok();
-    loaded
-}
-
-fn image(seed: usize) -> Vec<f32> {
-    (0..INPUT_SHAPE.iter().product::<usize>())
-        .map(|i| ((i * 31 + seed * 7) % 13) as f32 / 13.0 - 0.5)
-        .collect()
-}
-
-fn image_json(seed: usize) -> String {
-    let values: Vec<String> = image(seed).iter().map(|v| format!("{v}")).collect();
-    format!("{{\"image\":[{}]}}", values.join(","))
-}
 
 fn start_server(cfg: ServeConfig) -> (Server, String) {
     let (model, meta) = mapped_via_artifact("shared");
@@ -152,7 +103,8 @@ fn classify_healthz_metrics_and_graceful_shutdown() {
     let missing = client.get("/nope").expect("404");
     assert_eq!(missing.status, 404);
 
-    // metrics expose the request counters and the batch-size histogram.
+    // metrics expose the request counters and the batch-size, parse and
+    // queue-wait histograms.
     let metrics = client.get("/metrics").expect("metrics");
     assert_eq!(metrics.status, 200);
     let text = metrics.text();
@@ -160,6 +112,7 @@ fn classify_healthz_metrics_and_graceful_shutdown() {
     assert!(text.contains("serve_http_requests"), "{text}");
     assert!(text.contains("serve_batch_size_bucket"), "{text}");
     assert!(text.contains("serve_parse_us_bucket"), "{text}");
+    assert!(text.contains("serve_queue_us_bucket"), "{text}");
 
     // graceful shutdown via the admin endpoint.
     let stop = client.post_json("/admin/shutdown", "{}").expect("shutdown");
@@ -183,63 +136,6 @@ fn deeply_nested_body_is_a_400_and_the_server_survives() {
         .post_json("/v1/classify", &image_json(1))
         .expect("classify after the deep body");
     assert_eq!(ok.status, 200, "{}", ok.text());
-    server
-        .shutdown_handle()
-        .store(true, std::sync::atomic::Ordering::SeqCst);
-    server.run_until_shutdown();
-}
-
-#[test]
-fn concurrent_clients_share_batches_and_agree_with_serial_answers() {
-    let (server, addr) = start_server(ServeConfig {
-        max_batch: 8,
-        batch_deadline: Duration::from_millis(20),
-        ..ServeConfig::default()
-    });
-
-    // Serial ground truth over one connection.
-    let mut serial = connect(&addr);
-    let mut expected = Vec::new();
-    for seed in 0..12 {
-        let response = serial
-            .post_json("/v1/classify", &image_json(seed))
-            .expect("serial classify");
-        assert_eq!(response.status, 200);
-        let json = Json::parse(&response.text()).unwrap();
-        expected.push(json.get("class").and_then(Json::as_u64).unwrap());
-    }
-
-    // 12 concurrent clients, one request each, all in the same flush window.
-    let addr = Arc::new(addr);
-    let handles: Vec<_> = (0..12)
-        .map(|seed| {
-            let addr = Arc::clone(&addr);
-            thread::spawn(move || {
-                let mut client = connect(&addr);
-                let response = client
-                    .post_json("/v1/classify", &image_json(seed))
-                    .expect("concurrent classify");
-                assert_eq!(response.status, 200, "{}", response.text());
-                let json = Json::parse(&response.text()).unwrap();
-                (
-                    json.get("class").and_then(Json::as_u64).unwrap(),
-                    json.get("batch_size").and_then(Json::as_u64).unwrap(),
-                )
-            })
-        })
-        .collect();
-    let mut saw_shared_batch = false;
-    for (seed, handle) in handles.into_iter().enumerate() {
-        let (class, batch_size) = handle.join().expect("client thread");
-        assert_eq!(
-            class, expected[seed],
-            "request {seed}: batched answer must match serial answer"
-        );
-        saw_shared_batch |= batch_size > 1;
-    }
-    // With a 20ms flush window and 12 simultaneous clients, at least one
-    // batch must have carried more than one request.
-    assert!(saw_shared_batch, "micro-batching never aggregated requests");
     server
         .shutdown_handle()
         .store(true, std::sync::atomic::Ordering::SeqCst);
@@ -423,13 +319,13 @@ fn sampled_classify_requests_carry_joinable_trace_ids() {
 
 #[test]
 fn full_batch_queue_is_backpressure_not_an_error() {
-    // One inference replica, tiny queue, long deadline: the queue fills,
-    // and the auto-sized admission limit (queue + replica capacity = 2)
-    // sheds the overflow with 429 before it even reaches the queue.
+    // One inference replica taking one request at a time and a queue of
+    // one: the queue fills, and the auto-sized admission limit (queue +
+    // replica capacity = 2) sheds the overflow with 429 before it even
+    // reaches the queue.
     let (server, addr) = start_server(ServeConfig {
         replicas: 1,
         max_batch: 1,
-        batch_deadline: Duration::from_millis(200),
         queue_cap: 1,
         request_timeout: Duration::from_secs(20),
         ..ServeConfig::default()
@@ -933,147 +829,6 @@ fn drift_lifecycle_fast_forward_sweeps_and_climbs_the_mitigation_ladder() {
         health.text()
     );
 
-    server
-        .shutdown_handle()
-        .store(true, std::sync::atomic::Ordering::SeqCst);
-    server.run_until_shutdown();
-}
-
-#[test]
-fn backpressure_503_carries_a_retry_after_hint() {
-    // One worker, queue of one, a large batch target and a long flush
-    // deadline: the first request parks in the queue for the whole window,
-    // so a second connection's request must be refused with 503 and the
-    // Retry-After hint the retrying client honours.
-    let (server, addr) = start_server(ServeConfig {
-        replicas: 1,
-        max_batch: 64,
-        batch_deadline: Duration::from_millis(500),
-        queue_cap: 1,
-        request_timeout: Duration::from_secs(20),
-        ..ServeConfig::default()
-    });
-    let first_addr = addr.clone();
-    let first = thread::spawn(move || {
-        let mut client = connect(&first_addr);
-        client
-            .post_json("/v1/classify", &image_json(0))
-            .expect("queued classify")
-            .status
-    });
-    // Let the first request land in the batch queue, then overflow it.
-    thread::sleep(Duration::from_millis(150));
-    let mut client = connect(&addr);
-    let refused = client
-        .post_json("/v1/classify", &image_json(1))
-        .expect("refused classify");
-    assert_eq!(refused.status, 503, "{}", refused.text());
-    assert_eq!(
-        refused.retry_after,
-        Some(1),
-        "backpressure must carry a Retry-After hint: {}",
-        refused.text()
-    );
-    assert_eq!(first.join().expect("first client"), 200);
-    server
-        .shutdown_handle()
-        .store(true, std::sync::atomic::Ordering::SeqCst);
-    server.run_until_shutdown();
-}
-
-/// Parses a counter's value out of the Prometheus exposition text.
-fn counter_value(metrics_text: &str, name: &str) -> f64 {
-    metrics_text
-        .lines()
-        .find_map(|line| {
-            line.strip_prefix(name)
-                .and_then(|rest| rest.trim().parse::<f64>().ok())
-        })
-        .unwrap_or(0.0)
-}
-
-/// Extracts the softmax scores from a classify response body.
-fn scores_of(body: &str) -> Vec<f64> {
-    Json::parse(body)
-        .expect("classify JSON")
-        .get("scores")
-        .and_then(Json::as_arr)
-        .expect("scores array")
-        .iter()
-        .map(|v| v.as_f64().expect("score is a number"))
-        .collect()
-}
-
-#[test]
-fn saturated_admission_sheds_429_but_health_and_inflight_requests_survive() {
-    // One replica collecting a 64-wide batch for 400 ms with an admission
-    // limit of one: the first classify parks in flight for the whole
-    // window. During it, health endpoints must keep answering 200 and a
-    // second classify must be shed with 429 + Retry-After — and the
-    // parked request must still complete, bit-identical to an
-    // unsaturated run of the same image.
-    let (server, addr) = start_server(ServeConfig {
-        replicas: 1,
-        max_batch: 64,
-        batch_deadline: Duration::from_millis(400),
-        queue_cap: 1,
-        admission_limit: 1,
-        request_timeout: Duration::from_secs(20),
-        ..ServeConfig::default()
-    });
-    let parked_addr = addr.clone();
-    let parked = thread::spawn(move || {
-        let mut client = connect(&parked_addr);
-        let resp = client
-            .post_json("/v1/classify", &image_json(2))
-            .expect("parked classify");
-        (resp.status, resp.text())
-    });
-    // Let the first request get admitted and parked in the flush window.
-    thread::sleep(Duration::from_millis(150));
-    let mut client = connect(&addr);
-
-    // Health, model, and metrics ride the event loop's fast path: they
-    // are never subject to admission control or the batch queue.
-    let health = client.get("/healthz").expect("healthz while saturated");
-    assert_eq!(health.status, 200, "{}", health.text());
-    let model_info = client.get("/v1/model").expect("model while saturated");
-    assert_eq!(model_info.status, 200);
-    let metrics = client.get("/metrics").expect("metrics while saturated");
-    assert_eq!(metrics.status, 200);
-
-    // A second classify is over the admission limit: shed, not queued.
-    let shed = client
-        .post_json("/v1/classify", &image_json(3))
-        .expect("shed classify");
-    assert_eq!(shed.status, 429, "{}", shed.text());
-    assert_eq!(
-        shed.retry_after,
-        Some(1),
-        "admission shed must carry a Retry-After hint: {}",
-        shed.text()
-    );
-    assert!(shed.text().contains("admission limit"), "{}", shed.text());
-    let metrics_text = client.get("/metrics").expect("metrics").text();
-    assert!(
-        counter_value(&metrics_text, "serve_admission_shed") >= 1.0,
-        "shed counter must register: {metrics_text}"
-    );
-
-    // The parked request completes despite the shedding around it...
-    let (parked_status, parked_body) = parked.join().expect("parked thread");
-    assert_eq!(parked_status, 200, "{parked_body}");
-    // ...and its answer is bit-identical to the same image classified on
-    // the now-idle server (batching and admission never perturb scores).
-    let idle = client
-        .post_json("/v1/classify", &image_json(2))
-        .expect("idle classify");
-    assert_eq!(idle.status, 200, "{}", idle.text());
-    assert_eq!(
-        scores_of(&parked_body),
-        scores_of(&idle.text()),
-        "saturated and idle scores must match bit-for-bit"
-    );
     server
         .shutdown_handle()
         .store(true, std::sync::atomic::Ordering::SeqCst);
