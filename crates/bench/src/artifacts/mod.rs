@@ -24,7 +24,6 @@ pub mod figures;
 pub mod perfmap;
 pub mod serveperf;
 pub mod solveperf;
-pub mod surrogate;
 pub mod tables;
 
 use crate::report::Table;
@@ -407,13 +406,6 @@ pub fn registry() -> Vec<ArtifactSpec> {
             exclusive: true,
             run: serveperf::serve_bench,
             scenarios: no_scenarios,
-        },
-        ArtifactSpec {
-            name: "surrogate",
-            paper_ref: "surrogate fidelity & speedup (ours)",
-            exclusive: true,
-            run: surrogate::surrogate_accuracy,
-            scenarios: surrogate::surrogate_scenarios,
         },
         ArtifactSpec {
             name: "drift",

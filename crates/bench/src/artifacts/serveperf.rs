@@ -24,7 +24,7 @@ use xbar_core::{save_artifact_to_file, ArtifactMeta};
 use xbar_nn::layers::{Conv2d, Flatten, Linear, MaxPool2d, ReLU};
 use xbar_nn::{Layer, Sequential};
 use xbar_obs::json::Json;
-use xbar_serve::{Client, ServeConfig, Server, TierModels};
+use xbar_serve::{Client, ServeConfig, Server};
 use xbar_sim::params::CrossbarParams;
 
 /// Connection-fleet size the acceptance criterion is stated at.
@@ -77,10 +77,9 @@ fn save_bench_artifact(path: &std::path::Path) -> Result<(), String> {
 fn start_server(path: &std::path::Path, replicas: usize) -> Result<Server, String> {
     let bundle = xbar_core::load_artifact_bundle_mmap(path)
         .map_err(|e| format!("loading bench artifact: {e}"))?;
-    let (models, meta) = TierModels::from_bundle(bundle);
-    Server::start_tiered(
-        models,
-        meta,
+    Server::start(
+        bundle.model,
+        bundle.meta,
         ServeConfig {
             replicas,
             max_batch: 64,

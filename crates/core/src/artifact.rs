@@ -17,26 +17,22 @@
 //!                                          the model's full inference state
 //!                                          incl. BatchNorm statistics, see
 //!                                          xbar_nn::serialize)
-//! --- optional fidelity-tier payloads, each flagged in the meta ---
-//! tensors ideal (software) model state      when meta "tiers"."ideal"
-//! tensors surrogate-folded W'' model state  when meta "tiers"."surrogate"
-//! tensors surrogate net parameters          when meta has "surrogate"
 //! ```
 //!
 //! Unlike a training checkpoint the artifact is self-contained: the JSON
 //! meta embeds the layer-by-layer [`LayerSpec`] so a server can rebuild the
 //! architecture without knowing the training scenario.
 //!
-//! The optional payloads extend the format backward-compatibly in both
-//! directions: a legacy artifact simply ends after the `W'` tensor block
-//! (the flags default to absent), and a legacy reader given a new artifact
-//! stops after the `W'` block and never sees the extras.
+//! Every loader parses the file's bytes through one path, which stops after
+//! the `W'` tensor block and ignores meta keys it does not know. Older
+//! writers could append further weight sets after `W'` and flag them in the
+//! meta; such files load as their `W'` network.
 
 use crate::pipeline::{MapConfig, MapReport};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::Path;
-use xbar_nn::arch::{build_from_spec, spec_from_json, spec_of, spec_to_json, LayerSpec};
+use xbar_nn::arch::{build_from_spec, spec_from_json, spec_of, spec_to_json, state_len, LayerSpec};
 use xbar_nn::serialize::{
     read_exact_or_truncated, read_tensor_block_into, write_tensor_block, TensorBlockError,
 };
@@ -44,8 +40,6 @@ use xbar_nn::Sequential;
 use xbar_obs::json::Json;
 
 const MAGIC: &[u8; 8] = b"XBARMDL1";
-/// Refuse absurd meta blobs (corrupt length prefix) before allocating.
-const MAX_META_BYTES: u64 = 64 << 20;
 
 /// Error from artifact save/load.
 #[derive(Debug)]
@@ -97,111 +91,13 @@ impl From<TensorBlockError> for ArtifactError {
     }
 }
 
-/// Input feature count of an embedded surrogate net for a tile shape.
-///
-/// The feature layout is part of the artifact format, five aggregate
-/// blocks: normalized row voltages (`rows`), per-row ideal currents
-/// (`rows`), per-column conductance sums (`cols`), per-column
-/// depth-weighted ideal currents (`cols`, weighting each device by how far
-/// down the column wire its current enters), then the per-column ideal
-/// currents (`cols`) as the final block. These are the aggregates wire IR
-/// drop physically responds to; raw per-device conductances are deliberately
-/// excluded so surrogate evaluation stays an order of magnitude cheaper
-/// than the circuit solve it replaces. The `xbar-surrogate` crate encodes
-/// inputs with this layout and this function is the single source of truth
-/// for its width.
-pub fn surrogate_input_dim(rows: usize, cols: usize) -> usize {
-    2 * rows + 3 * cols
-}
-
-/// Provenance and held-out validation record of an embedded surrogate:
-/// which tile shape it emulates, its normalization constants, and how far
-/// its predicted column currents sat from the exact solver on held-out
-/// pairs. Persisted in (and restored from) the artifact meta so `/v1/model`
-/// can report the surrogate's error without re-validating.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SurrogateMeta {
-    /// Crossbar rows the surrogate was trained for.
-    pub rows: usize,
-    /// Crossbar columns the surrogate was trained for.
-    pub cols: usize,
-    /// Conductance floor used for input normalization (S).
-    pub g_min: f64,
-    /// Conductance ceiling used for input normalization (S).
-    pub g_max: f64,
-    /// Nominal read voltage used for input/target normalization (V).
-    pub v_read: f64,
-    /// Held-out max column-current error, as a fraction of the largest
-    /// exact current in the validation split.
-    pub val_max_err: f64,
-    /// Held-out RMS column-current error, same normalization.
-    pub val_rms_err: f64,
-    /// Training pairs generated from the exact solver.
-    pub train_pairs: usize,
-    /// Seed of pair generation and net initialisation.
-    pub seed: u64,
-    /// The surrogate net's architecture (rebuilt via `build_from_spec`).
-    pub arch: Vec<LayerSpec>,
-}
-
-impl SurrogateMeta {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        let num = |name: &str| -> Result<f64, String> {
-            j.get(name)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("surrogate record missing number field {name:?}"))
-        };
-        Ok(SurrogateMeta {
-            rows: num("rows")? as usize,
-            cols: num("cols")? as usize,
-            g_min: num("g_min")?,
-            g_max: num("g_max")?,
-            v_read: num("v_read")?,
-            val_max_err: num("val_max_err")?,
-            val_rms_err: num("val_rms_err")?,
-            train_pairs: num("train_pairs")? as usize,
-            seed: num("seed")? as u64,
-            arch: spec_from_json(j.get("arch").ok_or("surrogate record missing \"arch\"")?)?,
-        })
-    }
-}
-
-/// Which optional tier payloads follow the `W'` tensor block.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct TierFlags {
-    ideal: bool,
-    surrogate_model: bool,
-}
-
-/// A full fidelity-tier artifact: the exact `W'` model plus the optional
-/// ideal (software) weights, the surrogate-folded `W''` weights, and the
-/// serialized surrogate net itself.
+/// A loaded artifact: the mapped `W'` network and its metadata.
 #[derive(Debug, Clone)]
 pub struct ArtifactBundle {
-    /// The exact-solver-mapped `W'` network (always present).
+    /// The solver-mapped `W'` network.
     pub model: Sequential,
-    /// Mapping provenance, statistics, and the surrogate record.
+    /// Mapping provenance and statistics.
     pub meta: ArtifactMeta,
-    /// The pre-mapping software network (the `ideal` serving tier).
-    pub ideal_model: Option<Sequential>,
-    /// The surrogate-folded `W''` network (the `surrogate` serving tier).
-    pub surrogate_model: Option<Sequential>,
-    /// The surrogate net whose fold produced `surrogate_model`; its
-    /// architecture and validation errors live in `meta.surrogate`.
-    pub surrogate_net: Option<Sequential>,
-}
-
-impl ArtifactBundle {
-    /// Wraps a plain mapped model with no optional tier payloads.
-    pub fn exact_only(model: Sequential, meta: ArtifactMeta) -> Self {
-        Self {
-            model,
-            meta,
-            ideal_model: None,
-            surrogate_model: None,
-            surrogate_net: None,
-        }
-    }
 }
 
 /// Descriptive metadata persisted with (and restored from) an artifact.
@@ -250,11 +146,6 @@ pub struct ArtifactMeta {
     pub degraded_tiles: usize,
     /// Worst post-repair tile fault score.
     pub max_fault_score: f64,
-    /// Embedded-surrogate record (tile shape, normalization, held-out
-    /// validation error); `None` for artifacts without a surrogate.
-    pub surrogate: Option<SurrogateMeta>,
-    /// Test accuracy of the surrogate-folded `W''` model, if measured.
-    pub surrogate_accuracy: Option<f64>,
 }
 
 impl ArtifactMeta {
@@ -282,8 +173,6 @@ impl ArtifactMeta {
             corrected_cells: report.corrected_cells(),
             degraded_tiles: report.degraded_tiles(),
             max_fault_score: report.max_fault_score(),
-            surrogate: None,
-            surrogate_accuracy: None,
         }
     }
 
@@ -301,7 +190,7 @@ impl ArtifactMeta {
     /// JSON object used by the server's classify responses (a compact echo
     /// of the mapping provenance).
     pub fn summary_json(&self) -> Json {
-        let mut fields = vec![
+        Json::Obj(vec![
             ("label".into(), Json::Str(self.label.clone())),
             ("rows".into(), Json::Num(self.rows as f64)),
             ("cols".into(), Json::Num(self.cols as f64)),
@@ -324,26 +213,12 @@ impl ArtifactMeta {
                 "degraded_tiles".into(),
                 Json::Num(self.degraded_tiles as f64),
             ),
-        ];
-        if let Some(s) = &self.surrogate {
-            fields.push((
-                "surrogate".into(),
-                Json::Obj(vec![
-                    ("val_max_err".into(), Json::Num(s.val_max_err)),
-                    ("val_rms_err".into(), Json::Num(s.val_rms_err)),
-                    ("train_pairs".into(), Json::Num(s.train_pairs as f64)),
-                ]),
-            ));
-            if let Some(acc) = self.surrogate_accuracy {
-                fields.push(("surrogate_accuracy".into(), Json::Num(acc)));
-            }
-        }
-        Json::Obj(fields)
+        ])
     }
 
-    fn to_json(&self, spec: &[LayerSpec], tiers: TierFlags) -> Json {
+    fn to_json(&self, spec: &[LayerSpec]) -> Json {
         let opt_num = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
-        let mut fields = vec![
+        Json::Obj(vec![
             ("format".into(), Json::Str("XBARMDL1".into())),
             ("label".into(), Json::Str(self.label.clone())),
             ("num_classes".into(), Json::Num(self.num_classes as f64)),
@@ -395,43 +270,10 @@ impl ArtifactMeta {
                 Json::Num(self.degraded_tiles as f64),
             ),
             ("max_fault_score".into(), Json::Num(self.max_fault_score)),
-        ];
-        // Tier payloads and the surrogate record are written only when
-        // present, so surrogate-free artifacts stay byte-compatible with
-        // what earlier writers produced.
-        if tiers != TierFlags::default() {
-            fields.push((
-                "tiers".into(),
-                Json::Obj(vec![
-                    ("ideal".into(), Json::Bool(tiers.ideal)),
-                    ("surrogate".into(), Json::Bool(tiers.surrogate_model)),
-                ]),
-            ));
-        }
-        if let Some(s) = &self.surrogate {
-            fields.push((
-                "surrogate".into(),
-                Json::Obj(vec![
-                    ("rows".into(), Json::Num(s.rows as f64)),
-                    ("cols".into(), Json::Num(s.cols as f64)),
-                    ("g_min".into(), Json::Num(s.g_min)),
-                    ("g_max".into(), Json::Num(s.g_max)),
-                    ("v_read".into(), Json::Num(s.v_read)),
-                    ("val_max_err".into(), Json::Num(s.val_max_err)),
-                    ("val_rms_err".into(), Json::Num(s.val_rms_err)),
-                    ("train_pairs".into(), Json::Num(s.train_pairs as f64)),
-                    ("seed".into(), Json::Num(s.seed as f64)),
-                    ("arch".into(), spec_to_json(&s.arch)),
-                ]),
-            ));
-        }
-        if let Some(acc) = self.surrogate_accuracy {
-            fields.push(("surrogate_accuracy".into(), Json::Num(acc)));
-        }
-        Json::Obj(fields)
+        ])
     }
 
-    fn from_json(j: &Json) -> Result<(Self, Vec<LayerSpec>, TierFlags), String> {
+    fn from_json(j: &Json) -> Result<(Self, Vec<LayerSpec>), String> {
         let str_field = |name: &str| -> Result<String, String> {
             j.get(name)
                 .and_then(Json::as_str)
@@ -486,23 +328,8 @@ impl ArtifactMeta {
             corrected_cells: opt_usize("corrected_cells"),
             degraded_tiles: opt_usize("degraded_tiles"),
             max_fault_score: opt_f64("max_fault_score").unwrap_or(0.0),
-            // The surrogate record and tier flags are absent in artifacts
-            // written before fidelity tiers existed; default to "exact W'
-            // only".
-            surrogate: match j.get("surrogate") {
-                None | Some(Json::Null) => None,
-                Some(s) => Some(SurrogateMeta::from_json(s)?),
-            },
-            surrogate_accuracy: opt_f64("surrogate_accuracy"),
         };
-        let tiers = match j.get("tiers") {
-            None | Some(Json::Null) => TierFlags::default(),
-            Some(t) => TierFlags {
-                ideal: t.get("ideal").and_then(Json::as_bool).unwrap_or(false),
-                surrogate_model: t.get("surrogate").and_then(Json::as_bool).unwrap_or(false),
-            },
-        };
-        Ok((meta, spec, tiers))
+        Ok((meta, spec))
     }
 }
 
@@ -519,21 +346,6 @@ pub fn save_artifact<W: Write>(
     meta: &ArtifactMeta,
     mut writer: W,
 ) -> Result<(), ArtifactError> {
-    write_header(model, meta, TierFlags::default(), &mut writer)?;
-    let tensors = model.state_tensors_mut();
-    write_tensor_block(writer, tensors.iter().map(|t| &**t))?;
-    Ok(())
-}
-
-/// Writes magic + meta (with `num_classes` derived from the final linear
-/// layer if left at zero), validating any surrogate record against the
-/// model's partition first.
-fn write_header<W: Write>(
-    model: &Sequential,
-    meta: &ArtifactMeta,
-    tiers: TierFlags,
-    writer: &mut W,
-) -> Result<(), ArtifactError> {
     let spec = spec_of(model);
     let mut meta = meta.clone();
     if meta.num_classes == 0 {
@@ -545,114 +357,40 @@ fn write_header<W: Write>(
             .map(|l| l.out_features())
             .unwrap_or(0);
     }
-    if let Some(s) = &meta.surrogate {
-        validate_surrogate_record(s, &meta)?;
-    }
-    let meta_bytes = meta.to_json(&spec, tiers).to_json().into_bytes();
+    let meta_bytes = meta.to_json(&spec).to_json().into_bytes();
     writer.write_all(MAGIC)?;
     writer.write_all(&(meta_bytes.len() as u64).to_le_bytes())?;
     writer.write_all(&meta_bytes)?;
+    let tensors = model.state_tensors_mut();
+    write_tensor_block(writer, tensors.iter().map(|t| &**t))?;
     Ok(())
 }
 
-/// Rejects a surrogate record whose tile shape or net geometry disagrees
-/// with the mapped model's partition — a surrogate trained for a different
-/// crossbar would silently serve wrong currents.
-fn validate_surrogate_record(s: &SurrogateMeta, meta: &ArtifactMeta) -> Result<(), ArtifactError> {
-    if (s.rows, s.cols) != (meta.rows, meta.cols) {
-        return Err(ArtifactError::Mismatch(format!(
-            "embedded surrogate was trained for {}×{} tiles but the model was \
-             partitioned onto {}×{} crossbars; retrain the surrogate for this \
-             tile shape",
-            s.rows, s.cols, meta.rows, meta.cols
-        )));
-    }
-    let in_dim = surrogate_input_dim(s.rows, s.cols);
-    let first_in = s.arch.iter().find_map(|l| match l {
-        LayerSpec::Linear { in_f, .. } => Some(*in_f),
-        _ => None,
-    });
-    let last_out = s.arch.iter().rev().find_map(|l| match l {
-        LayerSpec::Linear { out_f, .. } => Some(*out_f),
-        _ => None,
-    });
-    if first_in != Some(in_dim) || last_out != Some(s.cols) {
-        return Err(ArtifactError::Mismatch(format!(
-            "embedded surrogate net maps {:?} → {:?} features but {}×{} tiles \
-             need {} → {}; the surrogate block does not fit the declared tile \
-             shape",
-            first_in, last_out, s.rows, s.cols, in_dim, s.cols
-        )));
-    }
-    Ok(())
-}
-
-/// Writes a full fidelity-tier bundle: the `W'` model plus any optional
-/// ideal/surrogate payloads, each flagged in the meta so a reader knows
-/// which tensor blocks follow.
-///
-/// # Errors
-///
-/// * [`ArtifactError::Io`] on write failure;
-/// * [`ArtifactError::Mismatch`] when the surrogate net is present without
-///   its meta record (or vice versa), or when the record disagrees with the
-///   mapped model's partition.
-pub fn save_artifact_bundle<W: Write>(
-    bundle: &mut ArtifactBundle,
-    mut writer: W,
-) -> Result<(), ArtifactError> {
-    if bundle.surrogate_net.is_some() != bundle.meta.surrogate.is_some() {
-        return Err(ArtifactError::Mismatch(
-            "bundle carries a surrogate net without its meta record (or a \
-             record without the net); both or neither must be present"
-                .into(),
-        ));
-    }
-    let tiers = TierFlags {
-        ideal: bundle.ideal_model.is_some(),
-        surrogate_model: bundle.surrogate_model.is_some(),
-    };
-    write_header(&bundle.model, &bundle.meta, tiers, &mut writer)?;
-    let tensors = bundle.model.state_tensors_mut();
-    write_tensor_block(&mut writer, tensors.iter().map(|t| &**t))?;
-    for m in [&mut bundle.ideal_model, &mut bundle.surrogate_model]
-        .into_iter()
-        .flatten()
-    {
-        let tensors = m.state_tensors_mut();
-        write_tensor_block(&mut writer, tensors.iter().map(|t| &**t))?;
-    }
-    if let Some(net) = &mut bundle.surrogate_net {
-        let tensors = net.state_tensors_mut();
-        write_tensor_block(&mut writer, tensors.iter().map(|t| &**t))?;
-    }
-    Ok(())
-}
-
-/// Reads an artifact, rebuilding the model from the embedded architecture
-/// spec and restoring its full inference state.
+/// Reads an artifact from `reader` (to its end), rebuilding the model from
+/// the embedded architecture spec and restoring its full inference state.
 ///
 /// # Errors
 ///
 /// * [`ArtifactError::Io`] on read failure;
-/// * [`ArtifactError::Malformed`] for bad magic, truncation, or unparsable
-///   metadata;
+/// * [`ArtifactError::Malformed`] for bad magic, truncation, unparsable
+///   metadata, or an architecture needing more weights than the input
+///   holds;
 /// * [`ArtifactError::Mismatch`] when the tensor block does not fit the
 ///   declared architecture (names the offending tensor and sizes).
 pub fn load_artifact<R: Read>(mut reader: R) -> Result<(Sequential, ArtifactMeta), ArtifactError> {
-    let (model, meta, _tiers) = read_header_and_model(&mut reader)?;
-    Ok((model, meta))
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    parse_artifact(&bytes)
 }
 
-/// Shared front half of the two loaders: magic, meta, and the `W'` tensor
-/// block. Returns the tier flags so [`load_artifact_bundle`] knows which
-/// optional blocks follow; [`load_artifact`] ignores them, which is exactly
-/// how legacy readers stay compatible with bundle files.
-fn read_header_and_model<R: Read>(
-    reader: &mut R,
-) -> Result<(Sequential, ArtifactMeta, TierFlags), ArtifactError> {
+/// The one parse path behind every loader: magic, meta, then the `W'`
+/// tensor block; any bytes after it are ignored. Parsing from the whole
+/// input lets it refuse an architecture the remaining bytes cannot hold
+/// before [`build_from_spec`] allocates it.
+fn parse_artifact(bytes: &[u8]) -> Result<(Sequential, ArtifactMeta), ArtifactError> {
+    let mut rest = bytes;
     let mut magic = [0u8; 8];
-    read_exact_or_truncated(&mut *reader, &mut magic, || "reading magic".into())?;
+    read_exact_or_truncated(&mut rest, &mut magic, || "reading magic".into())?;
     if &magic != MAGIC {
         return Err(ArtifactError::Malformed(format!(
             "bad magic {:?} (not an XBARMDL1 artifact)",
@@ -660,81 +398,48 @@ fn read_header_and_model<R: Read>(
         )));
     }
     let mut len8 = [0u8; 8];
-    read_exact_or_truncated(&mut *reader, &mut len8, || "reading metadata length".into())?;
+    read_exact_or_truncated(&mut rest, &mut len8, || "reading metadata length".into())?;
     let meta_len = u64::from_le_bytes(len8);
-    if meta_len > MAX_META_BYTES {
-        return Err(ArtifactError::Malformed(format!(
-            "metadata length {meta_len} exceeds the {MAX_META_BYTES}-byte limit"
-        )));
-    }
-    let mut meta_bytes = vec![0u8; meta_len as usize];
-    read_exact_or_truncated(&mut *reader, &mut meta_bytes, || "reading metadata".into())?;
-    let meta_text = String::from_utf8(meta_bytes)
+    let (meta_bytes, rest) = usize::try_from(meta_len)
+        .ok()
+        .and_then(|n| rest.split_at_checked(n))
+        .ok_or_else(|| {
+            ArtifactError::Malformed(format!(
+                "reading metadata (wanted {meta_len} bytes, {} left)",
+                rest.len()
+            ))
+        })?;
+    let meta_text = std::str::from_utf8(meta_bytes)
         .map_err(|_| ArtifactError::Malformed("metadata is not UTF-8".into()))?;
-    let json = Json::parse(&meta_text)
+    let json = Json::parse(meta_text)
         .map_err(|e| ArtifactError::Malformed(format!("metadata JSON: {e}")))?;
-    let (meta, spec, tiers) = ArtifactMeta::from_json(&json).map_err(ArtifactError::Malformed)?;
-    if let Some(s) = &meta.surrogate {
-        validate_surrogate_record(s, &meta)?;
+    let (meta, spec) = ArtifactMeta::from_json(&json).map_err(ArtifactError::Malformed)?;
+    // Every state value takes four bytes of tensor block.
+    match state_len(&spec).and_then(|n| n.checked_mul(4)) {
+        Some(need) if need <= rest.len() => {}
+        Some(need) => {
+            return Err(ArtifactError::Malformed(format!(
+                "the declared architecture holds {need} bytes of state but only {} bytes \
+                 follow the metadata",
+                rest.len()
+            )))
+        }
+        None => {
+            return Err(ArtifactError::Malformed(
+                "the declared architecture holds more state than memory can address".into(),
+            ))
+        }
     }
     let mut model = build_from_spec(&spec);
-    read_block_into_model(&mut *reader, &mut model, "serving model")?;
-    Ok((model, meta, tiers))
-}
-
-fn read_block_into_model<R: Read>(
-    reader: R,
-    model: &mut Sequential,
-    which: &str,
-) -> Result<(), ArtifactError> {
-    let mut slots = model.state_tensors_mut();
-    read_tensor_block_into(reader, &mut slots).map_err(|e| match e {
+    read_tensor_block_into(rest, &mut model.state_tensors_mut()).map_err(|e| match e {
         TensorBlockError::Mismatch(detail) => ArtifactError::Mismatch(format!(
-            "{detail} — the {which} tensor block disagrees with the \
-             architecture the artifact declares; the file is corrupt or was \
-             produced by an incompatible writer"
+            "{detail} — the tensor block disagrees with the architecture the \
+             artifact declares; the file is corrupt or was produced by an \
+             incompatible writer"
         )),
         other => other.into(),
-    })
-}
-
-/// Reads a full fidelity-tier bundle. Optional payloads are read only when
-/// the meta's tier flags / surrogate record say they are present, so legacy
-/// artifacts (no flags) load with every optional slot `None`.
-///
-/// # Errors
-///
-/// Same as [`load_artifact`], plus [`ArtifactError::Mismatch`] when the
-/// embedded surrogate record disagrees with the mapped model's partition
-/// or an optional tensor block does not fit its declared architecture.
-pub fn load_artifact_bundle<R: Read>(mut reader: R) -> Result<ArtifactBundle, ArtifactError> {
-    let (model, meta, tiers) = read_header_and_model(&mut reader)?;
-    let spec = spec_of(&model);
-    let mut ideal_model = None;
-    if tiers.ideal {
-        let mut m = build_from_spec(&spec);
-        read_block_into_model(&mut reader, &mut m, "ideal-tier model")?;
-        ideal_model = Some(m);
-    }
-    let mut surrogate_model = None;
-    if tiers.surrogate_model {
-        let mut m = build_from_spec(&spec);
-        read_block_into_model(&mut reader, &mut m, "surrogate-tier model")?;
-        surrogate_model = Some(m);
-    }
-    let mut surrogate_net = None;
-    if let Some(s) = &meta.surrogate {
-        let mut net = build_from_spec(&s.arch);
-        read_block_into_model(&mut reader, &mut net, "surrogate net")?;
-        surrogate_net = Some(net);
-    }
-    Ok(ArtifactBundle {
-        model,
-        meta,
-        ideal_model,
-        surrogate_model,
-        surrogate_net,
-    })
+    })?;
+    Ok((model, meta))
 }
 
 /// Saves an artifact to a file (see [`save_artifact`]).
@@ -760,47 +465,22 @@ pub fn save_artifact_to_file(
 pub fn load_artifact_from_file(
     path: impl AsRef<Path>,
 ) -> Result<(Sequential, ArtifactMeta), ArtifactError> {
-    let file = std::fs::File::open(path)?;
-    load_artifact(io::BufReader::new(file))
+    parse_artifact(&std::fs::read(path)?)
 }
 
-/// Saves a fidelity-tier bundle to a file (see [`save_artifact_bundle`]).
-///
-/// # Errors
-///
-/// Propagates [`save_artifact_bundle`] errors.
-pub fn save_artifact_bundle_to_file(
-    bundle: &mut ArtifactBundle,
-    path: impl AsRef<Path>,
-) -> Result<(), ArtifactError> {
-    xbar_nn::serialize::write_file_atomic(path, |writer| save_artifact_bundle(bundle, writer))
-}
-
-/// Loads a fidelity-tier bundle from a file (see [`load_artifact_bundle`]).
-///
-/// # Errors
-///
-/// Propagates [`load_artifact_bundle`] errors.
-pub fn load_artifact_bundle_from_file(
-    path: impl AsRef<Path>,
-) -> Result<ArtifactBundle, ArtifactError> {
-    let file = std::fs::File::open(path)?;
-    load_artifact_bundle(io::BufReader::new(file))
-}
-
-/// Loads a fidelity-tier bundle by memory-mapping the file and parsing the
-/// tensor blocks straight out of the page cache — no read-side copies of
-/// the (potentially large) weight payload. Behaviour is byte-for-byte
-/// identical to [`load_artifact_bundle_from_file`]; only the I/O path
-/// differs.
+/// Loads an artifact by memory-mapping the file and parsing it out of the
+/// page cache, without first reading the file into a buffer of its own.
+/// The result is identical to [`load_artifact_from_file`]; only the I/O
+/// path differs.
 ///
 /// # Errors
 ///
 /// Propagates mapping failures as [`ArtifactError::Io`], plus the usual
-/// [`load_artifact_bundle`] errors.
+/// [`load_artifact`] errors.
 pub fn load_artifact_bundle_mmap(path: impl AsRef<Path>) -> Result<ArtifactBundle, ArtifactError> {
     let map = crate::mmap::MappedFile::open(path)?;
-    load_artifact_bundle(map.as_slice())
+    let (model, meta) = parse_artifact(map.as_slice())?;
+    Ok(ArtifactBundle { model, meta })
 }
 
 #[cfg(test)]
@@ -907,9 +587,11 @@ mod tests {
         let (mut noisy, meta) = mapped();
         let buf = save_to_vec(&mut noisy, &meta);
         // Corrupt the declared architecture: claim the final linear is
-        // wider than the stored tensors.
+        // narrower than the stored tensors. (A wider claim than the file
+        // holds is refused before the tensor block is read; see
+        // `oversized_linear_spec_in_a_small_file_is_malformed`.)
         let text = String::from_utf8_lossy(&buf).into_owned();
-        let patched = text.replacen("\"out\":4", "\"out\":5", 1);
+        let patched = text.replacen("\"out\":4", "\"out\":3", 1);
         assert_ne!(text, patched, "meta should contain the linear spec");
         // Rebuild the byte stream with the patched meta (length changed).
         let meta_start = 16;
@@ -928,10 +610,11 @@ mod tests {
 
     /// Saves a model with every layer kind whose spec is bounded (conv and
     /// max-pool kernel and stride, dropout `p`), swaps the meta text `from`
-    /// for the same-length `to` (so the length prefix stays valid), and
-    /// loads the result as a bundle.
-    fn load_with_meta_patch(from: &str, to: &str) -> Result<ArtifactBundle, ArtifactError> {
-        assert_eq!(from.len(), to.len());
+    /// for `to` (rewriting the length prefix), and loads the result.
+    fn load_with_meta_patch(
+        from: &str,
+        to: &str,
+    ) -> Result<(Sequential, ArtifactMeta), ArtifactError> {
         let (_, meta) = mapped();
         let mut model = Sequential::new(vec![
             Layer::Conv2d(Conv2d::new(1, 2, 3, 1, 1, 1)),
@@ -940,16 +623,17 @@ mod tests {
             Layer::Dropout(Dropout::new(0.25, 3)),
             Layer::Linear(Linear::new(2 * 4 * 4, 4, 2)),
         ]);
-        let mut buf = save_to_vec(&mut model, &meta);
-        load_artifact_bundle(buf.as_slice()).expect("the unpatched artifact loads");
+        let buf = save_to_vec(&mut model, &meta);
+        load_artifact(buf.as_slice()).expect("the unpatched artifact loads");
         let meta_len = u64::from_le_bytes(buf[8..16].try_into().unwrap()) as usize;
-        let text = &mut buf[16..16 + meta_len];
-        let at = text
-            .windows(from.len())
-            .position(|w| w == from.as_bytes())
-            .unwrap_or_else(|| panic!("meta lacks {from}"));
-        text[at..at + to.len()].copy_from_slice(to.as_bytes());
-        load_artifact_bundle(buf.as_slice())
+        let text = std::str::from_utf8(&buf[16..16 + meta_len]).unwrap();
+        assert!(text.contains(from), "meta lacks {from}");
+        let patched = text.replacen(from, to, 1);
+        let mut out = buf[..8].to_vec();
+        out.extend_from_slice(&(patched.len() as u64).to_le_bytes());
+        out.extend_from_slice(patched.as_bytes());
+        out.extend_from_slice(&buf[16 + meta_len..]);
+        load_artifact(out.as_slice())
     }
 
     /// The patched artifact must fail as malformed, naming `field`.
@@ -966,6 +650,27 @@ mod tests {
             r#""kernel":3,"stride":1"#,
             r#""kernel":0,"stride":1"#,
             "kernel",
+        );
+    }
+
+    #[test]
+    fn overflowing_linear_spec_is_malformed() {
+        // 2^33 × 2^33 weights overflow the element count itself.
+        assert_malformed(
+            r#""in":32,"out":4"#,
+            r#""in":8589934592,"out":8589934592"#,
+            "more state than memory can address",
+        );
+    }
+
+    #[test]
+    fn oversized_linear_spec_in_a_small_file_is_malformed() {
+        // 4096 × 4096 weights are 64 MiB of state; the file holds a few KiB,
+        // so the loader must refuse before building the layer.
+        assert_malformed(
+            r#""in":32,"out":4"#,
+            r#""in":4096,"out":4096"#,
+            "bytes of state",
         );
     }
 
@@ -1032,179 +737,131 @@ mod tests {
         assert_eq!(loaded.max_fault_score, 0.0);
     }
 
-    /// Surrogate record + freshly initialised net matching `mapped()`'s
-    /// 16×16 crossbars.
-    fn surrogate_parts(meta: &ArtifactMeta) -> (SurrogateMeta, Sequential) {
-        let in_dim = surrogate_input_dim(meta.rows, meta.cols);
-        let arch = vec![
+    /// The full inference state of `model`, bit for bit.
+    fn state_bits(model: &mut Sequential) -> Vec<u32> {
+        model
+            .state_tensors_mut()
+            .iter()
+            .flat_map(|t| t.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    fn write_block(out: &mut Vec<u8>, model: &mut Sequential) {
+        let tensors = model.state_tensors_mut();
+        write_tensor_block(out, tensors.iter().map(|t| &**t)).unwrap();
+    }
+
+    #[test]
+    fn tiered_bundles_from_older_writers_load_as_their_mapped_weights() {
+        // Older writers could follow `W'` with the software weights, the
+        // surrogate-folded `W''` and the surrogate net, flagged by meta keys
+        // this reader does not know. Build that layout by hand.
+        let (mut noisy, meta) = mapped();
+        let plain = save_to_vec(&mut noisy, &meta);
+        let (_, want_meta) = load_artifact(plain.as_slice()).unwrap();
+        let meta_len = u64::from_le_bytes(plain[8..16].try_into().unwrap()) as usize;
+        let meta_text = std::str::from_utf8(&plain[16..16 + meta_len]).unwrap();
+        let Json::Obj(mut fields) = Json::parse(meta_text).unwrap() else {
+            panic!("meta is an object")
+        };
+        let net_arch = [
             LayerSpec::Linear {
-                in_f: in_dim,
+                in_f: 2 * 16 + 3 * 16,
                 out_f: 32,
             },
             LayerSpec::ReLU,
             LayerSpec::Linear {
                 in_f: 32,
-                out_f: meta.cols,
+                out_f: 16,
             },
         ];
-        let net = build_from_spec(&arch);
-        let record = SurrogateMeta {
-            rows: meta.rows,
-            cols: meta.cols,
-            g_min: 1e-6,
-            g_max: 1e-4,
-            v_read: 0.25,
-            val_max_err: 0.011,
-            val_rms_err: 0.002,
-            train_pairs: 512,
-            seed: 7,
-            arch,
+        let num = |pairs: &[(&str, f64)]| -> Vec<(String, Json)> {
+            pairs
+                .iter()
+                .map(|&(k, v)| (k.to_string(), Json::Num(v)))
+                .collect()
         };
-        (record, net)
-    }
+        let mut record = num(&[
+            ("rows", 16.0),
+            ("cols", 16.0),
+            ("g_min", 1e-6),
+            ("g_max", 1e-4),
+            ("v_read", 0.25),
+            ("val_max_err", 0.011),
+            ("val_rms_err", 0.002),
+            ("train_pairs", 512.0),
+            ("seed", 7.0),
+        ]);
+        record.push(("arch".into(), spec_to_json(&net_arch)));
+        fields.push((
+            "tiers".into(),
+            Json::Obj(vec![
+                ("ideal".into(), Json::Bool(true)),
+                ("surrogate".into(), Json::Bool(true)),
+            ]),
+        ));
+        fields.push(("surrogate".into(), Json::Obj(record)));
+        fields.push(("surrogate_accuracy".into(), Json::Num(0.75)));
+        let old_meta = Json::Obj(fields).to_json();
 
-    #[test]
-    fn bundle_round_trip_is_byte_identical_and_legacy_reader_copes() {
-        let (noisy, mut meta) = mapped();
-        let (record, net) = surrogate_parts(&meta);
-        meta.surrogate = Some(record);
-        meta.surrogate_accuracy = Some(0.75);
-        let mut bundle = ArtifactBundle {
-            ideal_model: Some(tiny_model()),
-            surrogate_model: Some(noisy.clone()),
-            surrogate_net: Some(net),
-            model: noisy,
-            meta,
-        };
-        let mut buf = Vec::new();
-        save_artifact_bundle(&mut bundle, &mut buf).unwrap();
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&(old_meta.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(old_meta.as_bytes());
+        let w_start = bytes.len();
+        write_block(&mut bytes, &mut noisy);
+        let w_end = bytes.len();
+        let mut folded = noisy.clone();
+        for t in folded.state_tensors_mut() {
+            t.as_mut_slice().iter_mut().for_each(|v| *v = -*v);
+        }
+        write_block(&mut bytes, &mut tiny_model());
+        write_block(&mut bytes, &mut folded);
+        write_block(&mut bytes, &mut build_from_spec(&net_arch));
 
-        let mut loaded = load_artifact_bundle(buf.as_slice()).unwrap();
-        assert!(loaded.ideal_model.is_some());
-        assert!(loaded.surrogate_model.is_some());
-        assert!(loaded.surrogate_net.is_some());
-        let s = loaded.meta.surrogate.as_ref().unwrap();
-        assert_eq!((s.rows, s.cols), (loaded.meta.rows, loaded.meta.cols));
-        assert_eq!(s.val_max_err, 0.011);
-        assert_eq!(loaded.meta.surrogate_accuracy, Some(0.75));
+        let want = state_bits(&mut noisy);
+        let (mut from_reader, reader_meta) = load_artifact(bytes.as_slice()).unwrap();
+        assert_eq!(state_bits(&mut from_reader), want, "in-memory load");
+        assert_eq!(reader_meta, want_meta);
+        let dir = std::env::temp_dir().join(format!("xbar_artifact_old_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("tiered.xbarmdl");
+        std::fs::write(&path, &bytes).unwrap();
+        let from_file = load_artifact_from_file(&path);
+        let from_mmap = load_artifact_bundle_mmap(&path);
+        std::fs::remove_dir_all(&dir).ok();
+        let (mut from_file, file_meta) = from_file.unwrap();
+        assert_eq!(state_bits(&mut from_file), want, "file load");
+        assert_eq!(file_meta, want_meta);
+        let mut from_mmap = from_mmap.unwrap();
+        assert_eq!(state_bits(&mut from_mmap.model), want, "mmap load");
+        assert_eq!(from_mmap.meta, want_meta);
 
-        // Byte-identical second save: the format round-trips exactly.
-        let mut buf2 = Vec::new();
-        save_artifact_bundle(&mut loaded, &mut buf2).unwrap();
-        assert_eq!(buf, buf2, "save → load → save must be byte-identical");
-
-        // A legacy reader ignores the tier flags and the trailing blocks but
-        // still gets the exact-tier model and full meta.
-        let (mut legacy_model, legacy_meta) = load_artifact(buf.as_slice()).unwrap();
-        assert!(legacy_meta.surrogate.is_some());
-        let x = Tensor::from_fn(&[2, 1, 8, 8], |i| (i % 13) as f32 / 13.0);
-        let want = bundle.model.forward(&x, Mode::Eval).unwrap();
-        let got = legacy_model.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(want, got);
+        // A cut inside `W'` is still an error, however much the old blocks
+        // after it would have held.
+        let cut = &bytes[..(w_start + w_end) / 2];
+        let err = load_artifact(cut).unwrap_err();
+        assert!(matches!(err, ArtifactError::Malformed(_)), "{err}");
     }
 
     #[test]
     fn mmap_bundle_load_matches_the_buffered_file_load() {
-        let (noisy, mut meta) = mapped();
-        let (record, net) = surrogate_parts(&meta);
-        meta.surrogate = Some(record);
-        let mut bundle = ArtifactBundle {
-            ideal_model: Some(tiny_model()),
-            surrogate_model: Some(noisy.clone()),
-            surrogate_net: Some(net),
-            model: noisy,
-            meta,
-        };
+        let (mut noisy, meta) = mapped();
         let dir = std::env::temp_dir().join(format!("xbar_artifact_mmap_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.xbarmdl");
-        save_artifact_bundle_to_file(&mut bundle, &path).unwrap();
+        save_artifact_to_file(&mut noisy, &meta, &path).unwrap();
 
-        let mut buffered = load_artifact_bundle_from_file(&path).unwrap();
-        let mut mapped = load_artifact_bundle_mmap(&path).unwrap();
+        let buffered = load_artifact_from_file(&path).unwrap();
+        let mapped = load_artifact_bundle_mmap(&path).unwrap();
         std::fs::remove_dir_all(&dir).ok();
 
-        // Both paths must produce the same models: re-serialize each and
+        // Both paths must produce the same model: re-serialize each and
         // compare bytes — exact equality, weights and meta alike.
-        let mut via_file = Vec::new();
-        save_artifact_bundle(&mut buffered, &mut via_file).unwrap();
-        let mut via_mmap = Vec::new();
-        save_artifact_bundle(&mut mapped, &mut via_mmap).unwrap();
+        let (mut model, meta) = buffered;
+        let via_file = save_to_vec(&mut model, &meta);
+        let ArtifactBundle { mut model, meta } = mapped;
+        let via_mmap = save_to_vec(&mut model, &meta);
         assert_eq!(via_file, via_mmap, "mmap load must equal buffered load");
-    }
-
-    #[test]
-    fn legacy_artifact_without_surrogate_loads_as_exact_only_bundle() {
-        let (mut noisy, meta) = mapped();
-        let buf = save_to_vec(&mut noisy, &meta);
-        let bundle = load_artifact_bundle(buf.as_slice()).unwrap();
-        assert!(bundle.meta.surrogate.is_none());
-        assert!(bundle.ideal_model.is_none());
-        assert!(bundle.surrogate_model.is_none());
-        assert!(bundle.surrogate_net.is_none());
-    }
-
-    #[test]
-    fn surrogate_tile_shape_mismatch_rejected_on_save_and_load() {
-        let (noisy, mut meta) = mapped();
-        let (mut record, net) = surrogate_parts(&meta);
-
-        // Save-side: record claims 8×8 tiles, mapping used 16×16.
-        record.rows = 8;
-        record.cols = 8;
-        meta.surrogate = Some(record.clone());
-        let mut bundle = ArtifactBundle {
-            surrogate_net: Some(net),
-            model: noisy,
-            meta: meta.clone(),
-            ideal_model: None,
-            surrogate_model: None,
-        };
-        let err = save_artifact_bundle(&mut bundle, &mut Vec::new()).unwrap_err();
-        let msg = err.to_string();
-        assert!(matches!(err, ArtifactError::Mismatch(_)), "{msg}");
-        assert!(msg.contains("8×8") && msg.contains("16×16"), "{msg}");
-
-        // Load-side: hand-craft a header carrying the bad record, so a file
-        // from a buggy or hostile writer is rejected too.
-        let spec = spec_of(&bundle.model);
-        let meta_bytes = meta
-            .to_json(&spec, TierFlags::default())
-            .to_json()
-            .into_bytes();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&(meta_bytes.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&meta_bytes);
-        let err = load_artifact(buf.as_slice()).unwrap_err();
-        let msg = err.to_string();
-        assert!(matches!(err, ArtifactError::Mismatch(_)), "{msg}");
-        assert!(msg.contains("partitioned onto"), "{msg}");
-
-        // Geometry-mismatched net (wrong input width for the tile shape).
-        let (mut record, net) = surrogate_parts(&bundle.meta);
-        record.arch[0] = LayerSpec::Linear { in_f: 3, out_f: 32 };
-        bundle.meta.surrogate = Some(record);
-        bundle.surrogate_net = Some(net);
-        let err = save_artifact_bundle(&mut bundle, &mut Vec::new()).unwrap_err();
-        assert!(err.to_string().contains("does not fit"), "{err}");
-    }
-
-    #[test]
-    fn surrogate_net_without_record_is_rejected() {
-        let (noisy, meta) = mapped();
-        let (_, net) = surrogate_parts(&meta);
-        let mut bundle = ArtifactBundle {
-            surrogate_net: Some(net),
-            model: noisy,
-            meta,
-            ideal_model: None,
-            surrogate_model: None,
-        };
-        let err = save_artifact_bundle(&mut bundle, &mut Vec::new()).unwrap_err();
-        let msg = err.to_string();
-        assert!(matches!(err, ArtifactError::Mismatch(_)), "{msg}");
-        assert!(msg.contains("both or neither"), "{msg}");
     }
 
     #[test]

@@ -57,9 +57,8 @@ pub mod repair;
 pub mod wct;
 
 pub use artifact::{
-    load_artifact_bundle_from_file, load_artifact_bundle_mmap, load_artifact_from_file,
-    save_artifact_bundle_to_file, save_artifact_to_file, ArtifactBundle, ArtifactMeta,
-    SurrogateMeta,
+    load_artifact_bundle_mmap, load_artifact_from_file, save_artifact_to_file, ArtifactBundle,
+    ArtifactMeta,
 };
 pub use drift::{DriftModel, DriftStatus, ModelDriftState};
 pub use mmap::MappedFile;

@@ -4,17 +4,14 @@ use crate::partition::{partition, reassemble, Tile};
 use crate::rearrange::{ColumnOrder, Rearrangement};
 use crate::repair::{map_tile_plain, map_tile_with_repair, MappedTile, RepairConfig};
 use std::fmt;
-use xbar_linalg::SolveStats;
 use xbar_nn::Sequential;
 use xbar_obs::names;
 use xbar_prune::transform::{transform, TransformedLayer};
 use xbar_prune::unroll::{unrolled_matrices, write_back};
 use xbar_prune::PruneMethod;
-use xbar_sim::conductance::{conductances_to_weights, ConductanceMatrix, DifferentialPair};
 use xbar_sim::nf::NfAccumulator;
 use xbar_sim::params::CrossbarParams;
 use xbar_sim::solve::SolveMethod;
-use xbar_sim::tile::{prepare_tile_conductances, TileOutcome};
 use xbar_sim::MappingScale;
 use xbar_tensor::{ShapeError, Tensor};
 
@@ -27,9 +24,6 @@ pub enum MapError {
     Solve(xbar_linalg::SolveError),
     /// The mapping configuration itself is unusable.
     InvalidConfig(String),
-    /// A learned tile emulator failed or disagreed with the mapping
-    /// geometry.
-    Emulator(String),
     /// A pipeline stage failed; wraps the underlying error with which
     /// stage/layer/tile died.
     Stage {
@@ -63,7 +57,6 @@ impl fmt::Display for MapError {
             MapError::Shape(e) => write!(f, "shape error: {e}"),
             MapError::Solve(e) => write!(f, "circuit solve error: {e}"),
             MapError::InvalidConfig(msg) => write!(f, "invalid mapping configuration: {msg}"),
-            MapError::Emulator(msg) => write!(f, "tile emulator error: {msg}"),
             MapError::Stage { stage, source } => write!(f, "{stage}: {source}"),
             MapError::WorkerPanic { stage } => {
                 write!(f, "{stage}: tile worker thread panicked")
@@ -277,28 +270,6 @@ impl MapReport {
     }
 }
 
-/// A learned stand-in for the exact circuit solver at mapping time.
-///
-/// Implementations (the `xbar-surrogate` crate) predict the non-ideal column
-/// currents of whole conductance arrays driven at the nominal read voltage,
-/// orders of magnitude faster than a relaxation solve. The pipeline turns
-/// the predicted currents into per-column effective-conductance scales and
-/// folds them into `W''` the same way the exact path folds `G'` into `W'`.
-pub trait TileEmulator: Sync {
-    /// The `(rows, cols)` array geometry the emulator was trained for.
-    fn tile_shape(&self) -> (usize, usize);
-
-    /// Predicted non-ideal column currents for each array in `arrays`, every
-    /// row driven at the nominal read voltage. One `cols`-long current
-    /// vector per input array, in order.
-    ///
-    /// # Errors
-    ///
-    /// Returns a descriptive message when the arrays do not fit the
-    /// emulator's geometry or the underlying model fails.
-    fn column_currents_batch(&self, arrays: &[ConductanceMatrix]) -> Result<Vec<Vec<f64>>, String>;
-}
-
 /// Maps every weighted layer of `model` onto non-ideal crossbars and returns
 /// a clone of the model carrying the non-ideal weights `W'`, plus statistics.
 ///
@@ -312,50 +283,7 @@ pub fn map_to_crossbars(
     model: &Sequential,
     cfg: &MapConfig,
 ) -> Result<(Sequential, MapReport), MapError> {
-    map_to_crossbars_with(model, cfg, None)
-}
-
-/// [`map_to_crossbars`], with the per-tile circuit solve optionally replaced
-/// by a learned [`TileEmulator`].
-///
-/// With `emulator: None` this is exactly the exact pipeline. With an
-/// emulator, every tile is still *programmed* identically (quantization,
-/// write noise, stuck-at faults, per-tile seeds — see
-/// [`xbar_sim::tile::prepare_tile_conductances`]), but the circuit solve is
-/// replaced by one batched emulator call per panel, and the non-ideal
-/// weights are recovered from the predicted column currents at per-column
-/// granularity. Fault-tolerant repair requires the exact solver's
-/// per-device verdicts and is rejected when an emulator is supplied.
-///
-/// # Errors
-///
-/// Returns [`MapError`] on shape inconsistencies, circuit-solver failure,
-/// a repair config combined with an emulator, or an emulator whose tile
-/// shape disagrees with `cfg`.
-pub fn map_to_crossbars_with(
-    model: &Sequential,
-    cfg: &MapConfig,
-    emulator: Option<&dyn TileEmulator>,
-) -> Result<(Sequential, MapReport), MapError> {
     cfg.validate()?;
-    if let Some(em) = emulator {
-        if cfg.repair.is_some() {
-            return Err(MapError::InvalidConfig(
-                "surrogate-emulated mapping cannot honour fault-tolerant repair \
-                 (repair needs the exact solver's per-device verdicts); map with \
-                 the exact backend or drop the repair config"
-                    .into(),
-            ));
-        }
-        let (rows, cols) = em.tile_shape();
-        if (rows, cols) != (cfg.params.rows, cfg.params.cols) {
-            return Err(MapError::Emulator(format!(
-                "emulator was trained for {rows}×{cols} tiles but the mapping \
-                 uses {}×{} crossbars",
-                cfg.params.rows, cfg.params.cols
-            )));
-        }
-    }
     let _map_span = xbar_obs::span!(
         "map",
         rows = cfg.params.rows,
@@ -370,9 +298,7 @@ pub fn map_to_crossbars_with(
 
     // Phase 1 — plan: transform, rearrange, and partition every layer up
     // front, so the solve phase sees one flat list of independent tile jobs
-    // spanning the whole model instead of one join barrier per panel. The
-    // emulator path keeps its one-batched-call-per-panel shape and is
-    // resolved here; exact tiles are left for the shared pool.
+    // spanning the whole model instead of one join barrier per panel.
     let mut layers: Vec<LayerWork> = Vec::new();
     for ul in unrolled_matrices(model) {
         let _layer_span = xbar_obs::span!("map_layer", layer = ul.layer_index);
@@ -387,25 +313,12 @@ pub fn map_to_crossbars_with(
             };
             let arranged = rearrangement.apply(&panel.matrix);
             let tiles = partition(&arranged, cfg.params.rows, active_cols);
-            let seed_base = tile_seed_base(cfg.seed, ul.layer_index, panel_idx);
-            let mapped = match emulator {
-                None => None,
-                Some(em) => Some(
-                    emulate_tiles(&tiles, cfg, layer_abs_max, seed_base, em).map_err(|e| {
-                        e.in_stage(format!(
-                            "simulate layer {} panel {panel_idx}",
-                            ul.layer_index
-                        ))
-                    })?,
-                ),
-            };
             panels.push(PanelWork {
                 rearrangement,
                 arranged_rows: arranged.rows(),
                 arranged_cols: arranged.cols(),
                 tiles,
-                seed_base,
-                mapped,
+                seed_base: tile_seed_base(cfg.seed, ul.layer_index, panel_idx),
             });
         }
         layers.push(LayerWork {
@@ -416,7 +329,7 @@ pub fn map_to_crossbars_with(
         });
     }
 
-    // Phase 2 — solve: every exact tile of every layer/panel goes onto one
+    // Phase 2 — solve: every tile of every layer/panel goes onto one
     // work-stealing pool; a fast layer's workers steal straight into the
     // next layer's tiles with no per-layer join.
     let jobs: Vec<TileJob> = layers
@@ -426,27 +339,13 @@ pub fn map_to_crossbars_with(
             lw.panels
                 .iter()
                 .enumerate()
-                .filter(|(_, pw)| pw.mapped.is_none())
                 .flat_map(move |(p, pw)| (0..pw.tiles.len()).map(move |t| TileJob(l, p, t)))
         })
         .collect();
-    if !jobs.is_empty() {
-        let mut solved = solve_tile_jobs(&layers, &jobs, cfg)?.into_iter();
-        for lw in &mut layers {
-            for pw in &mut lw.panels {
-                if pw.mapped.is_none() {
-                    pw.mapped = Some(
-                        (0..pw.tiles.len())
-                            .map(|_| solved.next().expect("one result per planned tile"))
-                            .collect(),
-                    );
-                }
-            }
-        }
-    }
+    let mut solved = solve_tile_jobs(&layers, &jobs, cfg)?.into_iter();
 
-    // Phase 3 — stitch: fold the solved tiles back into panels, layers, and
-    // the model, in network order, exactly as the per-layer loop used to.
+    // Phase 3 — stitch: fold the solved tiles (in job order, which is
+    // network order) back into panels, layers, and the model.
     for mut lw in layers {
         let mut layer_report = LayerReport {
             layer_index: lw.layer_index,
@@ -466,10 +365,11 @@ pub fn map_to_crossbars_with(
         let mut low_g_sum = 0.0f64;
         let mut noisy_panels: Vec<Tensor> = Vec::with_capacity(lw.panels.len());
         for pw in &mut lw.panels {
-            let mapped = pw.mapped.take().expect("every panel resolved");
-            for (tile, mapped_tile) in pw.tiles.iter_mut().zip(&mapped) {
+            // `zip` stops at the panel's last tile without pulling the next
+            // panel's first result.
+            for (tile, mapped_tile) in pw.tiles.iter_mut().zip(&mut solved) {
                 let outcome = &mapped_tile.outcome;
-                tile.weights = mapped_tile.weights.clone();
+                tile.weights = mapped_tile.weights;
                 layer_report.nf.push(outcome.nf());
                 low_g_sum += outcome.low_g_fraction;
                 layer_report.solver_iterations += outcome.stats.iterations as u64;
@@ -578,16 +478,14 @@ fn map_one_tile(
 #[derive(Debug, Clone, Copy)]
 struct TileJob(usize, usize, usize);
 
-/// One panel of a layer after transform/rearrange/partition, with its solved
-/// tiles (`mapped`) filled in either by the emulator (phase 1) or by the
-/// shared tile pool (phase 2).
+/// One panel of a layer after transform/rearrange/partition; the shared
+/// tile pool (phase 2) solves its tiles.
 struct PanelWork {
     rearrangement: Rearrangement,
     arranged_rows: usize,
     arranged_cols: usize,
     tiles: Vec<Tile>,
     seed_base: u64,
-    mapped: Option<Vec<MappedTile>>,
 }
 
 /// One layer's phase-1 plan.
@@ -690,100 +588,6 @@ fn solve_tile_jobs(
         .into_iter()
         .map(|m| m.expect("every job claimed exactly once"))
         .collect())
-}
-
-/// Maps one panel's tiles through a learned emulator instead of the circuit
-/// solver: program every tile exactly as the exact path would (same seeds),
-/// predict all column currents in one batched call, and fold the predicted
-/// current loss into per-column effective conductances.
-fn emulate_tiles(
-    tiles: &[Tile],
-    cfg: &MapConfig,
-    layer_abs_max: f32,
-    seed_base: u64,
-    em: &dyn TileEmulator,
-) -> Result<Vec<MappedTile>, MapError> {
-    let mut prepared = Vec::with_capacity(tiles.len());
-    for (i, tile) in tiles.iter().enumerate() {
-        let p = prepare_tile_conductances(
-            &tile.weights,
-            cfg.scale,
-            layer_abs_max,
-            &cfg.params,
-            seed_base.wrapping_add(i as u64),
-        )
-        .map_err(|e| MapError::from(e).in_stage(format!("tile {i}")))?;
-        prepared.push(p);
-    }
-    // Interleaved [pos0, neg0, pos1, neg1, …] so one emulator call covers
-    // the whole panel.
-    let arrays: Vec<ConductanceMatrix> = prepared
-        .iter()
-        .flat_map(|p| [p.pair.pos.clone(), p.pair.neg.clone()])
-        .collect();
-    let currents = em
-        .column_currents_batch(&arrays)
-        .map_err(MapError::Emulator)?;
-    if currents.len() != arrays.len() {
-        return Err(MapError::Emulator(format!(
-            "emulator returned {} current vectors for {} arrays",
-            currents.len(),
-            arrays.len()
-        )));
-    }
-    let v_read = cfg.params.v_read;
-    let mut out = Vec::with_capacity(tiles.len());
-    for (i, p) in prepared.into_iter().enumerate() {
-        // Per-column effective scale: the ratio of predicted non-ideal
-        // current to the ideal `Σ g·v_read` current. 1 − scale is exactly
-        // the column's non-ideality factor.
-        let fold =
-            |g: &ConductanceMatrix, pred: &[f64]| -> Result<(ConductanceMatrix, f64), MapError> {
-                if pred.len() != g.cols() {
-                    return Err(MapError::Emulator(format!(
-                        "emulator returned {} column currents for a {}-column array",
-                        pred.len(),
-                        g.cols()
-                    )));
-                }
-                let mut scaled = g.clone();
-                let mut nf_sum = 0.0;
-                for (j, &p) in pred.iter().enumerate() {
-                    let ideal: f64 = (0..g.rows()).map(|r| g.at(r, j) * v_read).sum();
-                    let s = if ideal > 0.0 {
-                        (p / ideal).clamp(0.0, 2.0)
-                    } else {
-                        1.0
-                    };
-                    nf_sum += 1.0 - s;
-                    for r in 0..g.rows() {
-                        scaled.set(r, j, g.at(r, j) * s);
-                    }
-                }
-                Ok((scaled, nf_sum / g.cols().max(1) as f64))
-            };
-        let (pos, nf_pos) = fold(&p.pair.pos, &currents[2 * i])?;
-        let (neg, nf_neg) = fold(&p.pair.neg, &currents[2 * i + 1])?;
-        let w_ref = p.pair.w_ref;
-        let folded = DifferentialPair { pos, neg, w_ref };
-        let weights = conductances_to_weights(&folded, &cfg.params);
-        out.push(MappedTile {
-            weights: weights.clone(),
-            outcome: TileOutcome {
-                weights,
-                nf_pos,
-                nf_neg,
-                low_g_fraction: p.low_g_fraction,
-                stats: SolveStats::default(),
-                fallback: false,
-                fault_report: p.fault_report,
-                w_ref,
-            },
-            repair: None,
-        });
-    }
-    xbar_obs::metrics::counter_add(names::MAP_EMULATED_TILES, tiles.len() as u64);
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1014,116 +818,6 @@ mod tests {
             "0.2 sigma must trip the verify loop somewhere"
         );
         assert_eq!(report.stuck_cells(), 0);
-    }
-
-    /// Test emulator predicting the *ideal* currents (no current loss):
-    /// folding it must reproduce the programmed conductances unchanged.
-    struct IdealEmulator {
-        rows: usize,
-        cols: usize,
-        v_read: f64,
-    }
-
-    impl TileEmulator for IdealEmulator {
-        fn tile_shape(&self) -> (usize, usize) {
-            (self.rows, self.cols)
-        }
-
-        fn column_currents_batch(
-            &self,
-            arrays: &[ConductanceMatrix],
-        ) -> Result<Vec<Vec<f64>>, String> {
-            Ok(arrays
-                .iter()
-                .map(|g| {
-                    (0..g.cols())
-                        .map(|j| (0..g.rows()).map(|r| g.at(r, j) * self.v_read).sum())
-                        .collect()
-                })
-                .collect())
-        }
-    }
-
-    #[test]
-    fn ideal_emulator_reproduces_programmed_weights() {
-        let model = tiny_model();
-        let mut cfg = small_cfg();
-        cfg.params = cfg.params.ideal();
-        let em = IdealEmulator {
-            rows: 16,
-            cols: 16,
-            v_read: cfg.params.v_read,
-        };
-        let (folded, report) = map_to_crossbars_with(&model, &cfg, Some(&em)).unwrap();
-        // No predicted current loss and ideal programming: weights survive.
-        let orig = &model.layers()[0].as_conv().unwrap().weight().value;
-        let pert = &folded.layers()[0].as_conv().unwrap().weight().value;
-        for (a, b) in orig.as_slice().iter().zip(pert.as_slice()) {
-            assert!((a - b).abs() < 1e-4 * orig.abs_max().max(1.0), "{a} vs {b}");
-        }
-        assert!(report.mean_nf().abs() < 1e-9);
-        assert_eq!(report.solver_iterations(), 0, "no circuit solves ran");
-        assert!(report.crossbar_count() > 0);
-    }
-
-    #[test]
-    fn emulated_mapping_shares_the_exact_programming_path() {
-        // With variation on, the emulated fold must start from the same
-        // programmed conductances as the exact path: an ideal-current
-        // emulator then differs from the exact map only by the circuit's
-        // current loss, so the two stay close but not identical.
-        let model = tiny_model();
-        let mut cfg = small_cfg();
-        cfg.params.sigma_variation = 0.1;
-        let em = IdealEmulator {
-            rows: 16,
-            cols: 16,
-            v_read: cfg.params.v_read,
-        };
-        let (exact, _) = map_to_crossbars(&model, &cfg).unwrap();
-        let (folded, _) = map_to_crossbars_with(&model, &cfg, Some(&em)).unwrap();
-        let we = &exact.layers()[0].as_conv().unwrap().weight().value;
-        let wf = &folded.layers()[0].as_conv().unwrap().weight().value;
-        assert_ne!(we, wf);
-        let max_rel: f32 = we
-            .as_slice()
-            .iter()
-            .zip(wf.as_slice())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max)
-            / we.abs_max();
-        assert!(
-            max_rel < 0.5,
-            "same programming, bounded fold gap: {max_rel}"
-        );
-    }
-
-    #[test]
-    fn emulator_geometry_and_repair_misuse_are_rejected() {
-        let model = tiny_model();
-        let cfg = small_cfg();
-        let em = IdealEmulator {
-            rows: 8,
-            cols: 16,
-            v_read: cfg.params.v_read,
-        };
-        let err = map_to_crossbars_with(&model, &cfg, Some(&em)).unwrap_err();
-        assert!(
-            matches!(&err, MapError::Emulator(msg) if msg.contains("8×16")),
-            "{err}"
-        );
-        let em = IdealEmulator {
-            rows: 16,
-            cols: 16,
-            v_read: cfg.params.v_read,
-        };
-        let mut cfg = small_cfg();
-        cfg.repair = Some(crate::repair::RepairConfig::default());
-        let err = map_to_crossbars_with(&model, &cfg, Some(&em)).unwrap_err();
-        assert!(
-            matches!(&err, MapError::InvalidConfig(msg) if msg.contains("repair")),
-            "{err}"
-        );
     }
 
     #[test]

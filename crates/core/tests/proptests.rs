@@ -14,15 +14,12 @@
 //! here a whole model is mapped twice, the second time from the cache.
 //!
 //! The artifact loader promises that an untrusted file fails with a typed
-//! error: a truncated or bit-flipped XBARMDL bundle either loads or returns
-//! an `ArtifactError`, and never panics.
+//! error: a truncated or bit-flipped XBARMDL artifact either loads or
+//! returns an `ArtifactError`, and never panics.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use xbar_core::artifact::{
-    load_artifact_bundle, save_artifact_bundle, surrogate_input_dim, ArtifactBundle, ArtifactError,
-    ArtifactMeta, SurrogateMeta,
-};
+use xbar_core::artifact::{load_artifact, save_artifact, ArtifactError, ArtifactMeta};
 use xbar_core::pipeline::{map_to_crossbars, MapConfig};
 use xbar_core::repair::{map_tile_with_repair, RepairConfig};
 use xbar_obs::metrics::counter_value;
@@ -203,11 +200,9 @@ fn remapping_replays_cached_solves_bit_identically() {
     );
 }
 
-/// A small saved bundle carrying every payload the loader reads: the mapped
-/// model (every layer kind, so every spec parser runs), the ideal and
-/// surrogate tiers, and an embedded surrogate net with its record.
-fn saved_bundle() -> &'static [u8] {
-    use xbar_nn::arch::{build_from_spec, LayerSpec};
+/// A small saved artifact whose mapped model has every layer kind, so every
+/// spec parser runs.
+fn saved_artifact() -> &'static [u8] {
     use xbar_nn::layers::{BatchNorm2d, Conv2d, Dropout, Flatten, Linear, MaxPool2d, ReLU};
     use xbar_nn::Layer;
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
@@ -225,52 +220,21 @@ fn saved_bundle() -> &'static [u8] {
             params: CrossbarParams::with_size(8).ideal(),
             ..Default::default()
         };
-        let (noisy, report) = map_to_crossbars(&model, &cfg).unwrap();
+        let (mut noisy, report) = map_to_crossbars(&model, &cfg).unwrap();
         let mut meta = ArtifactMeta::from_mapping("corruption target", &cfg, &report);
         meta.input_shape = vec![1, 4, 4];
-        let arch = vec![
-            LayerSpec::Linear {
-                in_f: surrogate_input_dim(meta.rows, meta.cols),
-                out_f: 4,
-            },
-            LayerSpec::ReLU,
-            LayerSpec::Linear {
-                in_f: 4,
-                out_f: meta.cols,
-            },
-        ];
-        let net = build_from_spec(&arch);
-        meta.surrogate = Some(SurrogateMeta {
-            rows: meta.rows,
-            cols: meta.cols,
-            g_min: 1e-6,
-            g_max: 1e-4,
-            v_read: 0.25,
-            val_max_err: 0.01,
-            val_rms_err: 0.002,
-            train_pairs: 64,
-            seed: 7,
-            arch,
-        });
-        let mut bundle = ArtifactBundle {
-            ideal_model: Some(model),
-            surrogate_model: Some(noisy.clone()),
-            surrogate_net: Some(net),
-            model: noisy,
-            meta,
-        };
         let mut bytes = Vec::new();
-        save_artifact_bundle(&mut bundle, &mut bytes).unwrap();
-        load_artifact_bundle(bytes.as_slice()).expect("the intact bundle loads");
+        save_artifact(&mut noisy, &meta, &mut bytes).unwrap();
+        load_artifact(bytes.as_slice()).expect("the intact artifact loads");
         bytes
     })
 }
 
-/// Loads `bytes` as a bundle; a panic fails the calling test, and an I/O
-/// error cannot happen on an in-memory buffer.
-fn load_typed(bytes: &[u8]) -> Result<ArtifactBundle, String> {
-    match load_artifact_bundle(bytes) {
-        Ok(bundle) => Ok(bundle),
+/// Loads `bytes` as an artifact; a panic fails the calling test, and an
+/// I/O error cannot happen on an in-memory buffer.
+fn load_typed(bytes: &[u8]) -> Result<(), String> {
+    match load_artifact(bytes) {
+        Ok(_) => Ok(()),
         Err(ArtifactError::Io(e)) => panic!("an in-memory load failed with I/O: {e}"),
         Err(e) => Err(e.to_string()),
     }
@@ -280,7 +244,7 @@ fn load_typed(bytes: &[u8]) -> Result<ArtifactBundle, String> {
 /// meta — where the parsers and the spec checks run — loads or fails typed.
 #[test]
 fn every_header_bit_flip_loads_or_fails_typed() {
-    let bytes = saved_bundle();
+    let bytes = saved_artifact();
     let header = 16 + u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
     let mut flipped = bytes.to_vec();
     let mut failures = 0usize;
@@ -295,15 +259,15 @@ fn every_header_bit_flip_loads_or_fails_typed() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Cutting a saved bundle short anywhere, or flipping any one bit of
-    /// it, gives a bundle or a typed error from `load_artifact_bundle`,
-    /// never a panic; a cut is always an error.
+    /// Cutting a saved artifact short anywhere, or flipping any one bit of
+    /// it, gives a model or a typed error from `load_artifact`, never a
+    /// panic; a cut is always an error.
     #[test]
     fn truncated_or_bit_flipped_artifacts_fail_typed(
         truncate in prop_oneof![Just(true), Just(false)],
         at in 0.0f64..1.0,
     ) {
-        let bytes = saved_bundle();
+        let bytes = saved_artifact();
         if truncate {
             let cut = (at * bytes.len() as f64) as usize;
             prop_assert!(load_typed(&bytes[..cut]).is_err(), "a {cut}-byte prefix loaded");

@@ -122,6 +122,35 @@ pub fn build_from_spec(spec: &[LayerSpec]) -> Sequential {
     Sequential::new(layers)
 }
 
+/// Elements of the full inference state (`Sequential::state_tensors_mut`)
+/// of a model built from `spec`: conv and linear weights and biases, and
+/// BatchNorm's γ, β and running statistics. `None` when a count overflows
+/// `usize`, including a conv fan-in `Conv2d::new` would form on its own.
+/// Loaders check it against the bytes they hold before [`build_from_spec`]
+/// allocates anything.
+pub fn state_len(spec: &[LayerSpec]) -> Option<usize> {
+    spec.iter().try_fold(0usize, |total, layer| {
+        let len = match *layer {
+            LayerSpec::Conv2d {
+                in_c,
+                out_c,
+                kernel,
+                ..
+            } => {
+                let fan_in = in_c.checked_mul(kernel)?.checked_mul(kernel)?;
+                out_c.checked_mul(fan_in)?.checked_add(out_c)?
+            }
+            LayerSpec::Linear { in_f, out_f } => out_f.checked_mul(in_f)?.checked_add(out_f)?,
+            LayerSpec::BatchNorm2d { channels } => channels.checked_mul(4)?,
+            LayerSpec::ReLU
+            | LayerSpec::MaxPool2d { .. }
+            | LayerSpec::Flatten
+            | LayerSpec::Dropout { .. } => 0,
+        };
+        total.checked_add(len)
+    })
+}
+
 impl LayerSpec {
     /// JSON object representation (`{"kind": "conv2d", ...}`).
     pub fn to_json(&self) -> Json {
@@ -290,6 +319,31 @@ mod tests {
             .forward(&Tensor::zeros(&[2, 3, 4, 4]), Mode::Eval)
             .unwrap();
         assert_eq!(y.shape(), &[2, 5]);
+    }
+
+    #[test]
+    fn state_len_counts_every_state_tensor_and_catches_overflow() {
+        let spec = spec_of(&sample());
+        let held: usize = build_from_spec(&spec)
+            .state_tensors_mut()
+            .iter()
+            .map(|t| t.len())
+            .sum();
+        assert_eq!(state_len(&spec), Some(held));
+        let huge = 1usize << 33;
+        let linear = LayerSpec::Linear {
+            in_f: huge,
+            out_f: huge,
+        };
+        assert_eq!(state_len(&[linear]), None);
+        let no_filters = LayerSpec::Conv2d {
+            in_c: huge,
+            out_c: 0,
+            kernel: huge,
+            stride: 1,
+            pad: 0,
+        };
+        assert_eq!(state_len(&[no_filters]), None, "the fan-in alone overflows");
     }
 
     #[test]

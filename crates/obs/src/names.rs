@@ -75,9 +75,6 @@ pub const SERVE_QUEUE_US: &str = "serve/queue_us";
 pub const SERVE_SLOW_REQUESTS: &str = "serve/slow_requests";
 pub const SERVE_TRACE_SAMPLED: &str = "serve/trace_sampled";
 pub const SERVE_TRACE_SPANS_DROPPED: &str = "serve/trace_spans_dropped";
-pub const SERVE_FIDELITY_TIER: &str = "serve/fidelity_tier";
-pub const SERVE_SURROGATE_VAL_MAX_ERR: &str = "serve/surrogate_val_max_err";
-pub const SERVE_SURROGATE_VAL_RMS_ERR: &str = "serve/surrogate_val_rms_err";
 pub const SERVE_DRIFT_ELAPSED_S: &str = "serve/drift_elapsed_s";
 pub const SERVE_DRIFT_MEAN_DECAY: &str = "serve/drift_mean_decay";
 pub const SERVE_HEALTH_SWEEPS: &str = "serve/health_sweeps";
@@ -110,22 +107,6 @@ pub fn serve_request_us(endpoint: &'static str) -> String {
     format!("{SERVE_REQUEST_US_PREFIX}{endpoint}")
 }
 
-/// Family prefix for the per-fidelity-tier classify counters.
-const SERVE_CLASSIFY_TIER_PREFIX: &str = "serve/classify_tier/";
-
-/// Per-tier classify-request counter name (`exact`, `surrogate`, `ideal`).
-pub fn serve_classify_tier(tier: &'static str) -> String {
-    format!("{SERVE_CLASSIFY_TIER_PREFIX}{tier}")
-}
-
-/// Family prefix for the per-fidelity-tier classify latency histograms.
-const SERVE_CLASSIFY_TIER_US_PREFIX: &str = "serve/classify_tier_us/";
-
-/// Per-tier classify-latency series name (`exact`, `surrogate`, `ideal`).
-pub fn serve_classify_tier_us(tier: &'static str) -> String {
-    format!("{SERVE_CLASSIFY_TIER_US_PREFIX}{tier}")
-}
-
 // --- simulator -----------------------------------------------------------
 pub const SIM_STUCK_CELLS: &str = "sim/stuck_cells";
 pub const SIM_REPROGRAMMED_CELLS: &str = "sim/reprogrammed_cells";
@@ -148,7 +129,6 @@ pub const MAP_STUCK_CELLS: &str = "map/stuck_cells";
 pub const MAP_REPAIRED_COLUMNS: &str = "map/repaired_columns";
 pub const MAP_CORRECTED_CELLS: &str = "map/corrected_cells";
 pub const MAP_DEGRADED_TILES: &str = "map/degraded_tiles";
-pub const MAP_EMULATED_TILES: &str = "map/emulated_tiles";
 const MAP_LAYER_PREFIX: &str = "map/layer";
 
 /// Per-layer gauge name (`map/layer<i>/<stat>`), e.g.
@@ -156,11 +136,6 @@ const MAP_LAYER_PREFIX: &str = "map/layer";
 pub fn map_layer_gauge(layer: usize, stat: &'static str) -> String {
     format!("{MAP_LAYER_PREFIX}{layer}/{stat}")
 }
-
-// --- learned crossbar surrogate ------------------------------------------
-pub const SURROGATE_TRAIN_PAIRS: &str = "surrogate/train_pairs";
-pub const SURROGATE_VAL_MAX_ERR: &str = "surrogate/val_max_err";
-pub const SURROGATE_VAL_RMS_ERR: &str = "surrogate/val_rms_err";
 
 // --- bench harness -------------------------------------------------------
 pub const BENCH_SCENARIO_CACHE_HITS: &str = "bench/scenario_cache_hits";
@@ -301,27 +276,12 @@ pub const REGISTRY: &[MetricDef] = &[
     MetricDef {
         name: SERVE_PARSE_US,
         kind: MetricKind::LogHistogram,
-        help: "classify body parse on the event-loop thread: JSON, tier and image (µs)",
+        help: "classify body parse on the event-loop thread: JSON and image (µs)",
     },
     MetricDef {
         name: SERVE_QUEUE_US,
         kind: MetricKind::LogHistogram,
         help: "classify request wait in the batch queue, enqueue to batch start (µs)",
-    },
-    MetricDef {
-        name: SERVE_FIDELITY_TIER,
-        kind: MetricKind::Gauge,
-        help: "default fidelity tier (0 exact, 1 surrogate, 2 ideal)",
-    },
-    MetricDef {
-        name: SERVE_SURROGATE_VAL_MAX_ERR,
-        kind: MetricKind::Gauge,
-        help: "embedded surrogate's held-out max current error vs the exact solver",
-    },
-    MetricDef {
-        name: SERVE_SURROGATE_VAL_RMS_ERR,
-        kind: MetricKind::Gauge,
-        help: "embedded surrogate's held-out RMS current error vs the exact solver",
     },
     MetricDef {
         name: SERVE_DRIFT_ELAPSED_S,
@@ -397,16 +357,6 @@ pub const REGISTRY: &[MetricDef] = &[
         name: "serve/replica_requests/*",
         kind: MetricKind::Counter,
         help: "classify requests executed per inference replica",
-    },
-    MetricDef {
-        name: "serve/classify_tier/*",
-        kind: MetricKind::Counter,
-        help: "classify requests served per fidelity tier: exact, surrogate, ideal",
-    },
-    MetricDef {
-        name: "serve/classify_tier_us/*",
-        kind: MetricKind::LogHistogram,
-        help: "classify latency per fidelity tier (µs): exact, surrogate, ideal",
     },
     MetricDef {
         name: SIM_STUCK_CELLS,
@@ -504,29 +454,9 @@ pub const REGISTRY: &[MetricDef] = &[
         help: "tiles left degraded after repair",
     },
     MetricDef {
-        name: MAP_EMULATED_TILES,
-        kind: MetricKind::Counter,
-        help: "tiles folded through the learned surrogate instead of the circuit solver",
-    },
-    MetricDef {
         name: "map/layer*",
         kind: MetricKind::Gauge,
         help: "per-layer mapping stats: nf_mean, low_g_fraction, fault_score",
-    },
-    MetricDef {
-        name: SURROGATE_TRAIN_PAIRS,
-        kind: MetricKind::Counter,
-        help: "training pairs generated from the exact solver for surrogate fits",
-    },
-    MetricDef {
-        name: SURROGATE_VAL_MAX_ERR,
-        kind: MetricKind::Gauge,
-        help: "last trained surrogate's held-out max current error",
-    },
-    MetricDef {
-        name: SURROGATE_VAL_RMS_ERR,
-        kind: MetricKind::Gauge,
-        help: "last trained surrogate's held-out RMS current error",
     },
     MetricDef {
         name: BENCH_SCENARIO_CACHE_HITS,

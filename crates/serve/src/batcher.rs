@@ -22,7 +22,6 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::tier::{Tier, TierModels, ALL_TIERS};
 use xbar_nn::{Mode, Sequential};
 use xbar_obs::ring::StageTiming;
 use xbar_obs::{metrics, names, trace};
@@ -130,9 +129,6 @@ impl ResponseSlot {
 pub struct Pending {
     pub input: Vec<f32>,
     pub slot: Arc<ResponseSlot>,
-    /// Which weight set to classify against. Mixed-tier micro-batches are
-    /// split into per-tier sub-batches by the inference worker.
-    pub tier: Tier,
     /// When the request entered the batch queue (trace-epoch µs); the
     /// inference worker turns the gap to batch start into the `queue`
     /// stage timing.
@@ -140,18 +136,11 @@ pub struct Pending {
 }
 
 impl Pending {
-    /// Builds an exact-tier pending request stamped with the current
-    /// trace-epoch time.
+    /// Builds a pending request stamped with the current trace-epoch time.
     pub fn new(input: Vec<f32>, slot: Arc<ResponseSlot>) -> Self {
-        Pending::for_tier(Tier::Exact, input, slot)
-    }
-
-    /// Builds a pending request against a specific fidelity tier.
-    pub fn for_tier(tier: Tier, input: Vec<f32>, slot: Arc<ResponseSlot>) -> Self {
         Pending {
             input,
             slot,
-            tier,
             enqueued_us: trace::now_us(),
         }
     }
@@ -255,7 +244,8 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
     }
 }
 
-/// Runs one batch through the model and fills every slot.
+/// Runs one batch through the model and fills every slot. The replica loop,
+/// [`crate::lifecycle::replica_inference_loop`], calls this per batch.
 ///
 /// Exposed (not just used by the worker loop) so tests can compare batched
 /// against single-request execution on the same model instance.
@@ -332,43 +322,9 @@ pub fn classify_batch(model: &mut Sequential, input_shape: &[usize], batch: Vec<
     }
 }
 
-/// Splits one pulled batch into per-tier sub-batches and runs each through
-/// the matching model, each sub-batch sharing one forward pass through that
-/// tier's weight set. The replica loop,
-/// [`crate::lifecycle::replica_inference_loop`], calls this per batch.
-pub fn run_tier_batches(models: &mut TierModels, input_shape: &[usize], batch: Vec<Pending>) {
-    let mut groups: [Vec<Pending>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for pending in batch {
-        let slot = ALL_TIERS
-            .iter()
-            .position(|&t| t == pending.tier)
-            .expect("every tier is in ALL_TIERS");
-        groups[slot].push(pending);
-    }
-    for (tier, group) in ALL_TIERS.into_iter().zip(groups) {
-        if group.is_empty() {
-            continue;
-        }
-        match models.model_mut(tier) {
-            Some(model) => classify_batch(model, input_shape, group),
-            // The HTTP side rejects unavailable tiers with 409 before
-            // enqueueing; reaching here means a logic error, so answer
-            // the requests instead of hanging them into a 504.
-            None => {
-                for pending in &group {
-                    pending
-                        .slot
-                        .fill(Err(format!("fidelity tier {tier:?} has no model loaded")));
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lifecycle::{replica_inference_loop, ModelSlot};
     use std::thread;
     use xbar_nn::layers::{Conv2d, Flatten, Linear, MaxPool2d, ReLU};
     use xbar_nn::Layer;
@@ -424,11 +380,6 @@ mod tests {
             );
             assert_eq!(batched.class, single.class);
         }
-    }
-
-    /// A slot serving `models` under the tests' `[1, 8, 8]` input shape.
-    fn model_slot(models: TierModels) -> ModelSlot {
-        ModelSlot::new(models, crate::lifecycle::tests::meta_for("batcher-test"))
     }
 
     #[test]
@@ -534,82 +485,6 @@ mod tests {
         let outcome = slot.take().expect("filled");
         assert_eq!(outcome.unwrap_err(), "first");
         assert!(slot.take().is_none(), "take consumes the outcome");
-    }
-
-    #[test]
-    fn mixed_tier_batch_splits_into_per_tier_sub_batches() {
-        // Exact and ideal carry different weights (different seeds), so a
-        // request routed to the wrong tier would produce the wrong scores.
-        let models = TierModels {
-            exact: tiny_model(),
-            surrogate: None,
-            ideal: Some(Sequential::new(vec![
-                Layer::Conv2d(Conv2d::new(1, 4, 3, 1, 1, 21)),
-                Layer::ReLU(ReLU::new()),
-                Layer::MaxPool2d(MaxPool2d::new(2, 2)),
-                Layer::Flatten(Flatten::new()),
-                Layer::Linear(Linear::new(4 * 4 * 4, 3, 23)),
-            ])),
-        };
-        let mut reference = models.clone();
-        let queue = BatchQueue::new(16);
-        // 2 exact + 2 ideal requests are queued before the replica starts,
-        // so they land in one pulled batch.
-        let tiers = [Tier::Exact, Tier::Ideal, Tier::Exact, Tier::Ideal];
-        let slots: Vec<Arc<ResponseSlot>> = (0..4).map(|_| ResponseSlot::new()).collect();
-        for (i, (tier, slot)) in tiers.iter().zip(&slots).enumerate() {
-            queue
-                .submit(Pending::for_tier(*tier, image(i), Arc::clone(slot)))
-                .unwrap();
-        }
-        queue.close();
-        replica_inference_loop(&model_slot(models), &queue, 16, None);
-        for (i, (tier, slot)) in tiers.iter().zip(&slots).enumerate() {
-            let outcome = slot
-                .wait(Duration::from_secs(5))
-                .expect("filled")
-                .expect("ok");
-            // Ground truth: the same input through that tier's model alone.
-            let single = ResponseSlot::new();
-            classify_batch(
-                reference.model_mut(*tier).unwrap(),
-                &[1, 8, 8],
-                vec![Pending::for_tier(*tier, image(i), Arc::clone(&single))],
-            );
-            let expected = single
-                .wait(Duration::from_secs(5))
-                .expect("filled")
-                .expect("ok");
-            assert_eq!(
-                outcome.scores, expected.scores,
-                "request {i} must run on the {tier} weights"
-            );
-            assert_eq!(
-                outcome.batch_size, 2,
-                "sub-batch holds exactly the requests of its own tier"
-            );
-        }
-    }
-
-    #[test]
-    fn unavailable_tier_fails_the_request_instead_of_hanging() {
-        let models = TierModels::exact_only(tiny_model());
-        let queue = BatchQueue::new(4);
-        let slot = ResponseSlot::new();
-        queue
-            .submit(Pending::for_tier(
-                Tier::Surrogate,
-                image(0),
-                Arc::clone(&slot),
-            ))
-            .unwrap();
-        queue.close();
-        replica_inference_loop(&model_slot(models), &queue, 4, None);
-        let err = slot
-            .wait(Duration::from_secs(1))
-            .expect("filled")
-            .expect_err("no surrogate model loaded");
-        assert!(err.contains("no model loaded"), "{err}");
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! serve --artifact results/vgg11.xbarmdl [--addr 127.0.0.1:7878]
-//!       [--fidelity exact|surrogate|ideal]
 //!       [--replicas N] [--max-connections N] [--admission-limit N]
 //!       [--batch-size N] [--queue-cap N] [--timeout-ms N]
 //!       [--trace-sample N] [--slow-ms N] [--trace-out PATH]
@@ -16,11 +15,6 @@
 //! (0 auto-sizes to the pipeline capacity). `--batch-size` caps a
 //! micro-batch: an idle replica takes what is queued, up to that many,
 //! without waiting for more.
-//!
-//! `--fidelity` picks the default weight set classify requests run
-//! against (requests can override it per call with a `"tier"` body
-//! field); the artifact must carry that tier. Legacy artifacts carry only
-//! `exact`.
 //!
 //! The `XBAR_THREADS` environment variable bounds the compute worker pool
 //! used by the tensor kernels; it is read once per process, and the
@@ -42,7 +36,7 @@
 
 use std::process::ExitCode;
 use std::time::Duration;
-use xbar_serve::{signals, ServeConfig, Server, Tier, TierModels};
+use xbar_serve::{signals, ServeConfig, Server};
 
 struct Args {
     artifact: String,
@@ -52,13 +46,11 @@ struct Args {
 
 fn usage() -> &'static str {
     "usage: serve --artifact <path.xbarmdl> [--addr HOST:PORT]\n\
-     \x20             [--fidelity exact|surrogate|ideal]\n\
      \x20             [--replicas N] [--max-connections N] [--admission-limit N]\n\
      \x20             [--batch-size N] [--queue-cap N] [--timeout-ms N]\n\
      \x20             [--trace-sample N] [--slow-ms N] [--trace-out PATH]\n\
      \x20             [--sweep-interval-ms N] [--probe-count N]\n\
      \x20             [--drift-tau-fast S] [--drift-tau-slow S] [--drift-test-hooks]\n\
-     \x20 --fidelity picks the default serving tier (default exact)\n\
      \x20 --replicas N inference replicas\n\
      \x20 --max-connections caps concurrently open connections\n\
      \x20 --admission-limit caps in-flight classifies (0 = auto-size)\n\
@@ -105,9 +97,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         match flag.as_str() {
             "--artifact" => artifact = Some(next_value(&mut it, "--artifact")?.to_string()),
             "--addr" => cfg.addr = next_value(&mut it, "--addr")?.to_string(),
-            "--fidelity" => {
-                cfg.default_tier = Tier::parse(next_value(&mut it, "--fidelity")?)?;
-            }
             "--replicas" => cfg.replicas = next_usize(&mut it, "--replicas")?.max(1),
             "--max-connections" => {
                 cfg.max_connections = next_usize(&mut it, "--max-connections")?.max(1);
@@ -170,17 +159,16 @@ fn main() -> ExitCode {
         }
     };
     // mmap, not read: weights deserialise straight out of the page cache.
-    let bundle = match xbar_core::load_artifact_bundle_mmap(&args.artifact) {
-        Ok(loaded) => loaded,
-        Err(e) => {
-            eprintln!("cannot load artifact {:?}: {e}", args.artifact);
-            return ExitCode::FAILURE;
-        }
-    };
-    let (models, meta) = TierModels::from_bundle(bundle);
-    let tiers: Vec<&str> = models.available().iter().map(|t| t.as_str()).collect();
+    let xbar_core::ArtifactBundle { model, meta } =
+        match xbar_core::load_artifact_bundle_mmap(&args.artifact) {
+            Ok(loaded) => loaded,
+            Err(e) => {
+                eprintln!("cannot load artifact {:?}: {e}", args.artifact);
+                return ExitCode::FAILURE;
+            }
+        };
     eprintln!(
-        "loaded {:?}: {} ({} classes, input {:?}, {} crossbars of {}x{}, method {}, mean NF {:.4}, tiers [{}], default {})",
+        "loaded {:?}: {} ({} classes, input {:?}, {} crossbars of {}x{}, method {}, mean NF {:.4})",
         args.artifact,
         meta.label,
         meta.num_classes,
@@ -190,15 +178,7 @@ fn main() -> ExitCode {
         meta.cols,
         meta.method,
         meta.mean_nf,
-        tiers.join(", "),
-        args.cfg.default_tier,
     );
-    if let Some(s) = &meta.surrogate {
-        eprintln!(
-            "embedded surrogate: {}x{} tiles, held-out max err {:.4}, rms err {:.4} ({} pairs)",
-            s.rows, s.cols, s.val_max_err, s.val_rms_err, s.train_pairs,
-        );
-    }
     if args.cfg.lifecycle.active() {
         eprintln!(
             "drift lifecycle: sweep interval {:?}, {} probes, tau [{:.0}, {:.0}] s{}",
@@ -215,7 +195,7 @@ fn main() -> ExitCode {
     }
     signals::install();
     let trace_sample = args.cfg.trace_sample;
-    let server = match Server::start_tiered(models, meta, args.cfg) {
+    let server = match Server::start(model, meta, args.cfg) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("cannot start server: {e}");

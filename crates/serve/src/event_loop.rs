@@ -358,7 +358,7 @@ struct Conn {
 }
 
 /// The single-threaded engine owning every socket. Built on the caller's
-/// thread so setup errors surface from `Server::start_tiered`, then moved
+/// thread so setup errors surface from `Server::start`, then moved
 /// into the `xbar-eventloop` thread and [`run`](EventLoop::run).
 pub(crate) struct EventLoop {
     listener: Option<TcpListener>,

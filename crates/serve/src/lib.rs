@@ -10,18 +10,16 @@
 //! dependencies):
 //!
 //! * `POST /v1/classify` — one image (JSON float array or base64 LE f32),
-//!   answered with the argmax class, softmax scores, the fidelity tier it
-//!   ran on, the micro-batch size the request rode in, and the mapping
-//!   provenance; an optional `"tier"` field picks the weight set
-//!   (`exact` / `surrogate` / `ideal`) per request — unknown tiers are
-//!   answered `400`, tiers the artifact does not carry `409`, never a
-//!   silent fallback;
+//!   answered with the argmax class, softmax scores, the micro-batch size
+//!   the request rode in, and the mapping provenance. A `"tier"` field
+//!   other than `"exact"` (the name older clients use for `W'`) is
+//!   answered `400`: the server never answers a request for other weights
+//!   from `W'` untold;
 //! * `GET /healthz` — liveness plus queue depth;
 //! * `GET /metrics` — the process-wide `xbar_obs` metrics registry in
 //!   Prometheus text format;
-//! * `GET /v1/model` — the artifact's mapping summary, the available and
-//!   default fidelity tiers, and the embedded surrogate's held-out
-//!   validation error when one is present;
+//! * `GET /v1/model` — the artifact's mapping summary and the published
+//!   model version;
 //! * `POST /admin/shutdown` — CI-friendly graceful stop (SIGTERM and
 //!   SIGINT do the same);
 //! * `POST /admin/reload` — hot artifact swap through the versioned model
@@ -68,10 +66,8 @@ pub(crate) mod event_loop;
 pub mod http;
 pub mod lifecycle;
 pub mod server;
-pub mod tier;
 
 pub use batcher::{BatchQueue, ClassifyOutcome, Pending, ResponseSlot, SubmitError};
 pub use client::{Client, RetryPolicy, RetryingClient};
 pub use lifecycle::{DriftController, LifecycleConfig, LifecycleStatus, ModelSlot, SweepReport};
 pub use server::{signals, ServeConfig, Server};
-pub use tier::{Tier, TierModels, ALL_TIERS};

@@ -1,13 +1,14 @@
 //! Device-drift lifecycle: hot-swappable model slot, online health sweeps,
 //! and the re-program → re-map → hot-swap mitigation ladder.
 //!
-//! The serving process holds its networks in a versioned [`ModelSlot`].
-//! Inference replicas run [`replica_inference_loop`]: each owns a private
-//! [`TierModels`] clone and re-clones from the slot *between* micro-batches
-//! whenever the published version moves — an in-flight batch always finishes
-//! on the weights it started with, so a swap can never fail a request.
+//! The serving process holds its mapped network in a versioned
+//! [`ModelSlot`]. Inference replicas run [`replica_inference_loop`]: each
+//! owns a private clone of the network and re-clones from the slot
+//! *between* micro-batches whenever the published version moves — an
+//! in-flight batch always finishes on the weights it started with, so a swap
+//! can never fail a request.
 //!
-//! A [`DriftController`] models retention drift of the programmed exact-tier
+//! A [`DriftController`] models retention drift of the programmed
 //! conductances (`xbar_core::ModelDriftState`) and periodically re-simulates
 //! a small deterministic probe set against the pristine model's answers.
 //! When probe agreement drops past configured thresholds the controller
@@ -33,8 +34,7 @@ use xbar_nn::{Mode, Sequential};
 use xbar_obs::{metrics, names};
 use xbar_tensor::Tensor;
 
-use crate::batcher::{run_tier_batches, softmax, BatchQueue};
-use crate::tier::{Tier, TierModels};
+use crate::batcher::{classify_batch, softmax, BatchQueue};
 
 /// Odd splitmix constant for deriving per-probe seeds.
 const PROBE_SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -157,11 +157,11 @@ pub struct SweepReport {
 }
 
 struct SlotInner {
-    models: TierModels,
+    model: Sequential,
     meta: ArtifactMeta,
 }
 
-/// A versioned, hot-swappable holder of the served networks and their
+/// A versioned, hot-swappable holder of the served network and its
 /// metadata. Readers snapshot (clone) under a short lock; publishers bump
 /// the version so worker loops know to re-clone between batches.
 pub struct ModelSlot {
@@ -171,10 +171,10 @@ pub struct ModelSlot {
 
 impl ModelSlot {
     /// Wraps the initial artifact. The version starts at 1.
-    pub fn new(models: TierModels, meta: ArtifactMeta) -> Self {
+    pub fn new(model: Sequential, meta: ArtifactMeta) -> Self {
         Self {
             version: AtomicU64::new(1),
-            inner: Mutex::new(SlotInner { models, meta }),
+            inner: Mutex::new(SlotInner { model, meta }),
         }
     }
 
@@ -183,10 +183,10 @@ impl ModelSlot {
         self.version.load(Ordering::SeqCst)
     }
 
-    /// Clones the current networks together with the version they belong to.
-    pub fn snapshot(&self) -> (u64, TierModels) {
+    /// Clones the current network together with the version it belongs to.
+    pub fn snapshot(&self) -> (u64, Sequential) {
         let inner = self.inner.lock().expect("model slot poisoned");
-        (self.version.load(Ordering::SeqCst), inner.models.clone())
+        (self.version.load(Ordering::SeqCst), inner.model.clone())
     }
 
     /// Clones the current artifact metadata.
@@ -194,31 +194,20 @@ impl ModelSlot {
         self.inner.lock().expect("model slot poisoned").meta.clone()
     }
 
-    /// Clones the current exact-tier network.
+    /// Clones the current mapped network.
     pub fn exact_model(&self) -> Sequential {
         self.inner
             .lock()
             .expect("model slot poisoned")
-            .models
-            .exact
+            .model
             .clone()
     }
 
-    /// Fidelity tiers the current artifact can serve.
-    pub fn available(&self) -> Vec<Tier> {
-        self.inner
-            .lock()
-            .expect("model slot poisoned")
-            .models
-            .available()
-    }
-
-    /// Replaces the exact-tier network (drift snapshot or mitigation
-    /// result), keeping metadata and the other tiers. Returns the new
-    /// version.
+    /// Replaces the mapped network (drift snapshot or mitigation result),
+    /// keeping the metadata. Returns the new version.
     pub fn publish_exact(&self, model: Sequential) -> u64 {
         let mut inner = self.inner.lock().expect("model slot poisoned");
-        inner.models.exact = model;
+        inner.model = model;
         self.version.fetch_add(1, Ordering::SeqCst) + 1
     }
 
@@ -231,7 +220,7 @@ impl ModelSlot {
     /// Returns a description if the shapes are incompatible.
     pub fn publish_bundle(
         &self,
-        models: TierModels,
+        model: Sequential,
         meta: ArtifactMeta,
     ) -> std::result::Result<u64, String> {
         let mut inner = self.inner.lock().expect("model slot poisoned");
@@ -255,15 +244,15 @@ impl ModelSlot {
         metrics::gauge_set(names::SERVE_STUCK_CELLS, meta.stuck_cells as f64);
         metrics::gauge_set(names::SERVE_REPAIRED_COLUMNS, meta.repaired_columns as f64);
         metrics::gauge_set(names::SERVE_MAX_FAULT_SCORE, meta.max_fault_score);
-        inner.models = models;
+        inner.model = model;
         inner.meta = meta;
         Ok(self.version.fetch_add(1, Ordering::SeqCst) + 1)
     }
 }
 
 /// Inference worker loop of one replica: pulls micro-batches until the
-/// queue closes and runs each through its private [`TierModels`] clone,
-/// split into per-tier sub-batches. It re-clones from the [`ModelSlot`]
+/// queue closes and runs each through its private clone of the network,
+/// one forward pass per batch. It re-clones from the [`ModelSlot`]
 /// between micro-batches whenever the published version moves; in-flight
 /// batches always complete on the clone they started with, which is what
 /// makes artifact swaps lossless. With `replica` set, every request it
@@ -280,17 +269,15 @@ pub fn replica_inference_loop(
     // for the life of the process.
     let input_shape = slot.meta().input_shape.clone();
     let counter = replica.map(names::serve_replica_requests);
-    let (mut version, mut models) = slot.snapshot();
+    let (mut version, mut model) = slot.snapshot();
     while let Some(batch) = queue.next_batch(max_batch) {
         if slot.version() != version {
-            let (v, m) = slot.snapshot();
-            version = v;
-            models = m;
+            (version, model) = slot.snapshot();
         }
         if let Some(name) = &counter {
             metrics::counter_add(name, batch.len() as u64);
         }
-        run_tier_batches(&mut models, &input_shape, batch);
+        classify_batch(&mut model, &input_shape, batch);
     }
 }
 
@@ -305,7 +292,7 @@ struct ControllerState {
     remap_salt: u64,
 }
 
-/// Owns the drift model of the served exact tier, the probe set, and the
+/// Owns the drift model of the served network, the probe set, and the
 /// mitigation ladder. All methods take `&self`; internal state is locked.
 pub struct DriftController {
     cfg: LifecycleConfig,
@@ -525,17 +512,16 @@ impl DriftController {
             Some(path) => {
                 let bundle = load_artifact_bundle_mmap(path)
                     .map_err(|e| format!("cannot load artifact {path}: {e}"))?;
-                let (models, meta) = TierModels::from_bundle(bundle);
-                let label = meta.label.clone();
+                let label = bundle.meta.label.clone();
                 let drift_model = DriftModel::new(self.cfg.tau_fast, self.cfg.tau_slow);
                 let drift = ModelDriftState::with_defaults(
-                    &models.exact,
+                    &bundle.model,
                     drift_model,
-                    self.cfg.seed ^ meta.seed,
+                    self.cfg.seed ^ bundle.meta.seed,
                 )?;
                 let (classes, scores) =
-                    probe_forward(models.exact.clone(), &self.input_shape, &self.probes)?;
-                let version = self.slot.publish_bundle(models, meta)?;
+                    probe_forward(bundle.model.clone(), &self.input_shape, &self.probes)?;
+                let version = self.slot.publish_bundle(bundle.model, bundle.meta)?;
                 state.drift = drift;
                 state.remap_salt = 0;
                 let mut reference = self.reference.lock().expect("probe reference poisoned");
@@ -688,16 +674,11 @@ pub(crate) mod tests {
             corrected_cells: 0,
             degraded_tiles: 0,
             max_fault_score: 0.0,
-            surrogate: None,
-            surrogate_accuracy: None,
         }
     }
 
     fn slot(seed: u64) -> Arc<ModelSlot> {
-        Arc::new(ModelSlot::new(
-            TierModels::exact_only(tiny_model(seed)),
-            meta_for("lifecycle-test"),
-        ))
+        Arc::new(ModelSlot::new(tiny_model(seed), meta_for("lifecycle-test")))
     }
 
     fn drifting_cfg() -> LifecycleConfig {
@@ -716,7 +697,7 @@ pub(crate) mod tests {
         let replacement = tiny_model(99);
         let v = slot.publish_exact(replacement);
         assert_eq!(v, 2);
-        let (v2, _models) = slot.snapshot();
+        let (v2, _model) = slot.snapshot();
         assert_eq!(v2, 2);
     }
 
@@ -725,15 +706,11 @@ pub(crate) mod tests {
         let slot = slot(5);
         let mut bad_meta = meta_for("wrong-classes");
         bad_meta.num_classes = CLASSES + 1;
-        let err = slot
-            .publish_bundle(TierModels::exact_only(tiny_model(6)), bad_meta)
-            .unwrap_err();
+        let err = slot.publish_bundle(tiny_model(6), bad_meta).unwrap_err();
         assert!(err.contains("class count mismatch"), "{err}");
         let mut bad_shape = meta_for("wrong-shape");
         bad_shape.input_shape = vec![3, 8, 8];
-        let err = slot
-            .publish_bundle(TierModels::exact_only(tiny_model(6)), bad_shape)
-            .unwrap_err();
+        let err = slot.publish_bundle(tiny_model(6), bad_shape).unwrap_err();
         assert!(err.contains("input shape mismatch"), "{err}");
         assert_eq!(slot.version(), 1, "failed publishes must not bump");
     }

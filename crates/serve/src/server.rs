@@ -40,7 +40,6 @@ use crate::http::{write_response_with_headers, HttpError, Request};
 use crate::lifecycle::{
     replica_inference_loop, sweep_loop, DriftController, LifecycleConfig, ModelSlot,
 };
-use crate::tier::{Tier, TierModels};
 use xbar_core::ArtifactMeta;
 use xbar_nn::Sequential;
 use xbar_obs::json::Json;
@@ -123,10 +122,6 @@ pub struct ServeConfig {
     pub slow_ms: u64,
     /// Capacity of the bounded ring of finished request traces.
     pub trace_ring_cap: usize,
-    /// Fidelity tier classify requests run against when their body does
-    /// not name one (`--fidelity` in the binary). Must be available in the
-    /// served artifact.
-    pub default_tier: Tier,
     /// Drift lifecycle: health sweeps, mitigation ladder, test hooks. The
     /// default disables it (no drift model, no sweep thread).
     pub lifecycle: LifecycleConfig,
@@ -146,7 +141,6 @@ impl Default for ServeConfig {
             trace_sample: 0,
             slow_ms: 0,
             trace_ring_cap: 1024,
-            default_tier: Tier::Exact,
             lifecycle: LifecycleConfig::default(),
         }
     }
@@ -175,7 +169,7 @@ fn retry_after_header() -> [(&'static str, String); 1] {
 
 /// Shared request-handling context for the event loop.
 pub(crate) struct Ctx {
-    /// Versioned, hot-swappable holder of the served networks and their
+    /// Versioned, hot-swappable holder of the served network and its
     /// metadata; `/admin/reload` and drift sweeps republish through it.
     pub(crate) slot: Arc<ModelSlot>,
     /// Drift lifecycle controller, present when the lifecycle is active.
@@ -193,7 +187,6 @@ pub(crate) struct Ctx {
 /// needed to finish its HTTP response once the slot fills (or times out).
 pub(crate) struct InFlight {
     pub(crate) slot: Arc<ResponseSlot>,
-    pub(crate) tier: Tier,
     pub(crate) endpoint: &'static str,
     pub(crate) req_start_us: u64,
     pub(crate) started: Instant,
@@ -272,65 +265,34 @@ pub struct Server {
 
 impl Server {
     /// Binds, spawns the event loop and replicas, and returns immediately,
-    /// serving only the exact tier (legacy single-model artifacts).
+    /// serving the mapped `model`.
     ///
     /// # Errors
     ///
-    /// Returns the bind error if the address is unavailable.
+    /// Returns the bind (or epoll setup) error, or `InvalidInput` when the
+    /// drift lifecycle cannot model `model`.
     pub fn start(model: Sequential, meta: ArtifactMeta, cfg: ServeConfig) -> io::Result<Server> {
-        Server::start_tiered(TierModels::exact_only(model), meta, cfg)
-    }
-
-    /// Binds, spawns the event loop and replicas, and returns immediately,
-    /// serving every fidelity tier the artifact bundle carries.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidInput` when `cfg.default_tier` is not among the loaded
-    /// tiers; otherwise the bind (or epoll setup) error.
-    pub fn start_tiered(
-        models: TierModels,
-        meta: ArtifactMeta,
-        cfg: ServeConfig,
-    ) -> io::Result<Server> {
-        let (mut server, replicas) = Server::launch(models, meta, cfg)?;
+        let (mut server, replicas) = Server::launch(model, meta, cfg)?;
         server.spawn_replicas(replicas);
         Ok(server)
     }
 
-    /// Everything `start_tiered` does except starting the inference
-    /// replicas: the server accepts, parses and queues requests, and
-    /// `spawn_replicas` starts serving them. Tests call the two apart to
-    /// park requests in the queue.
+    /// Everything `start` does except starting the inference replicas: the
+    /// server accepts, parses and queues requests, and `spawn_replicas`
+    /// starts serving them. Tests call the two apart to park requests in
+    /// the queue.
     fn launch(
-        models: TierModels,
+        model: Sequential,
         meta: ArtifactMeta,
         cfg: ServeConfig,
     ) -> io::Result<(Server, Replicas)> {
-        if !models.has(cfg.default_tier) {
-            return Err(io::Error::new(
-                ErrorKind::InvalidInput,
-                format!(
-                    "default fidelity tier \"{}\" is not in the artifact \
-                     (available: {}); rebuild the artifact with that tier \
-                     or pick another --fidelity",
-                    cfg.default_tier,
-                    models
-                        .available()
-                        .iter()
-                        .map(|t| t.as_str())
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                ),
-            ));
-        }
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let batch_queue = BatchQueue::new(cfg.queue_cap);
 
-        let slot = Arc::new(ModelSlot::new(models, meta));
+        let slot = Arc::new(ModelSlot::new(model, meta));
         let lifecycle = if cfg.lifecycle.active() {
             let controller = DriftController::new(cfg.lifecycle, Arc::clone(&slot))
                 .map_err(|e| io::Error::new(ErrorKind::InvalidInput, e))?;
@@ -391,11 +353,6 @@ impl Server {
         metrics::gauge_set(names::SERVE_STUCK_CELLS, meta.stuck_cells as f64);
         metrics::gauge_set(names::SERVE_REPAIRED_COLUMNS, meta.repaired_columns as f64);
         metrics::gauge_set(names::SERVE_MAX_FAULT_SCORE, meta.max_fault_score);
-        metrics::gauge_set(names::SERVE_FIDELITY_TIER, cfg.default_tier.gauge_value());
-        if let Some(s) = &meta.surrogate {
-            metrics::gauge_set(names::SERVE_SURROGATE_VAL_MAX_ERR, s.val_max_err);
-            metrics::gauge_set(names::SERVE_SURROGATE_VAL_RMS_ERR, s.val_rms_err);
-        }
         let server = Server {
             addr,
             shutdown,
@@ -663,32 +620,11 @@ fn healthz_json(ctx: &Ctx) -> Json {
 }
 
 /// The `/v1/model` body: the artifact's mapping summary extended with the
-/// serving-side fidelity-tier facts — the deployment's default tier, which
-/// tiers the artifact carries, and the embedded surrogate's held-out
-/// validation error when one is present.
+/// published model version and, when active, the drift-lifecycle status.
 fn model_json(ctx: &Ctx) -> Json {
-    let meta = ctx.slot.meta();
-    let Json::Obj(mut fields) = meta.summary_json() else {
+    let Json::Obj(mut fields) = ctx.slot.meta().summary_json() else {
         unreachable!("summary_json always returns an object");
     };
-    fields.push((
-        "fidelity_tier".into(),
-        Json::Str(ctx.cfg.default_tier.as_str().into()),
-    ));
-    fields.push((
-        "available_tiers".into(),
-        Json::Arr(
-            ctx.slot
-                .available()
-                .iter()
-                .map(|t| Json::Str(t.as_str().into()))
-                .collect(),
-        ),
-    ));
-    if let Some(s) = &meta.surrogate {
-        fields.push(("surrogate_val_max_err".into(), Json::Num(s.val_max_err)));
-        fields.push(("surrogate_val_rms_err".into(), Json::Num(s.val_rms_err)));
-    }
     fields.push(("model_version".into(), Json::Num(ctx.slot.version() as f64)));
     fields.extend(lifecycle_fields(ctx));
     Json::Obj(fields)
@@ -774,9 +710,8 @@ fn reload_without_lifecycle(
         Some(path) => {
             let bundle = xbar_core::load_artifact_bundle_mmap(path)
                 .map_err(|e| format!("cannot load artifact {path}: {e}"))?;
-            let (models, meta) = TierModels::from_bundle(bundle);
-            let label = meta.label.clone();
-            (slot.publish_bundle(models, meta)?, label)
+            let label = bundle.meta.label.clone();
+            (slot.publish_bundle(bundle.model, bundle.meta)?, label)
         }
         None => {
             // Nothing drifts without a lifecycle; republish as-is so the
@@ -856,15 +791,16 @@ fn parse_body(body: &[u8]) -> Result<Json, String> {
     Json::parse(text).map_err(|e| format!("body is not valid JSON: {e}"))
 }
 
-/// Resolves the request's fidelity tier: the optional `"tier"` body field,
-/// falling back to the deployment default.
-fn parse_tier(json: &Json, default: Tier) -> Result<Tier, String> {
+/// Checks the optional `"tier"` body field. A server holds one weight set,
+/// the solver-mapped `W'`, which older clients name `"exact"`; a request
+/// naming anything else is refused rather than answered from `W'` untold.
+fn check_tier(json: &Json) -> Result<(), String> {
     match json.get("tier") {
-        None | Some(Json::Null) => Ok(default),
-        Some(Json::Str(name)) => Tier::parse(name),
+        None | Some(Json::Null) => Ok(()),
+        Some(Json::Str(name)) if name == "exact" => Ok(()),
         Some(other) => Err(format!(
-            "\"tier\" must be a string (\"exact\", \"surrogate\", \
-             \"ideal\"), got {}",
+            "\"tier\" {} is not served: this server serves only the mapped \
+             weights W' (\"exact\"); drop the field",
             other.to_json()
         )),
     }
@@ -932,16 +868,15 @@ fn classify_dispatch(
     let meta = ctx.slot.meta();
     let parse_start = Instant::now();
     let parsed = parse_body(&request.body).and_then(|json| {
-        let tier = parse_tier(&json, ctx.cfg.default_tier)?;
-        let input = parse_image(&json, meta.input_len())?;
-        Ok((tier, input))
+        check_tier(&json)?;
+        parse_image(&json, meta.input_len())
     });
     metrics::latency_record_us(
         names::SERVE_PARSE_US,
         parse_start.elapsed().as_micros() as u64,
     );
-    let (tier, input) = match parsed {
-        Ok(parsed) => parsed,
+    let input = match parsed {
+        Ok(input) => input,
         Err(msg) => {
             metrics::counter_add(names::SERVE_CLASSIFY_BAD_INPUT, 1);
             return done(
@@ -950,29 +885,11 @@ fn classify_dispatch(
             );
         }
     };
-    let available_tiers = ctx.slot.available();
-    if !available_tiers.contains(&tier) {
-        // Never a silent fallback: the caller asked for a fidelity the
-        // served artifact cannot honour.
-        metrics::counter_add(names::SERVE_CLASSIFY_BAD_INPUT, 1);
-        let body = error_json(&format!(
-            "fidelity tier \"{tier}\" is not in the served artifact \
-             (available: {}); rebuild the artifact with that tier or drop \
-             the \"tier\" field",
-            available_tiers
-                .iter()
-                .map(|t| t.as_str())
-                .collect::<Vec<_>>()
-                .join(", "),
-        ));
-        return done(json_bytes(409, "Conflict", &body, keep_alive), keep_alive);
-    }
-    metrics::counter_add(&names::serve_classify_tier(tier.as_str()), 1);
     let slot = ResponseSlot::new();
     // Notifier before submit: a fill can race ahead of this line otherwise
     // and the completion would never reach the event loop.
     slot.set_notifier(notify);
-    let pending = Pending::for_tier(tier, input, Arc::clone(&slot));
+    let pending = Pending::new(input, Arc::clone(&slot));
     if let Err(e) = ctx.batch_queue.submit(pending) {
         metrics::counter_add(names::SERVE_CLASSIFY_REJECTED, 1);
         let detail = match e {
@@ -994,7 +911,6 @@ fn classify_dispatch(
     let now = Instant::now();
     DispatchResult::Pending(Box::new(InFlight {
         slot,
-        tier,
         endpoint,
         req_start_us,
         started: now,
@@ -1029,9 +945,7 @@ pub(crate) fn finish_inflight(
         Some(Ok(outcome)) => {
             metrics::counter_add(names::SERVE_CLASSIFY_OK, 1);
             let respond_start_us = trace::now_us();
-            let tier = inflight.tier;
             let mut fields = vec![
-                ("tier".into(), Json::Str(tier.as_str().into())),
                 ("class".into(), Json::Num(outcome.class as f64)),
                 (
                     "scores".into(),
@@ -1051,7 +965,6 @@ pub(crate) fn finish_inflight(
             // serialised into the very response it describes.
             let now_us = trace::now_us();
             let total_us = now_us.saturating_sub(inflight.req_start_us);
-            metrics::latency_record_us(&names::serve_classify_tier_us(tier.as_str()), total_us);
             let slow = ctx.cfg.slow_ms > 0 && total_us > ctx.cfg.slow_ms * 1000;
             if inflight.sampled || slow {
                 let mut rec =

@@ -3,6 +3,10 @@
 //! without `Server::spawn_replicas`), polls `/healthz` until the queue
 //! holds the parked requests, checks what the server does meanwhile, and
 //! only then releases the replicas: no timing window to win or lose.
+//!
+//! The `"tier"` test lives here too: it counts `serve_classify_bad_input`
+//! exactly, and no other test in this binary sends a bad classify body
+//! (the end-to-end suite does, in parallel, in its own process).
 
 #[path = "../../tests/support/mod.rs"]
 mod support;
@@ -13,7 +17,6 @@ use std::time::{Duration, Instant};
 
 use super::{Replicas, ServeConfig, Server};
 use crate::client::Client;
-use crate::tier::TierModels;
 use support::{counter_value, image_json, mapped_via_artifact, scores_of};
 use xbar_obs::json::Json;
 
@@ -21,8 +24,7 @@ use xbar_obs::json::Json;
 /// the test hands the returned [`Replicas`] to `spawn_replicas`.
 fn start_held(cfg: ServeConfig) -> (Server, Replicas, String) {
     let (model, meta) = mapped_via_artifact("held");
-    let (server, replicas) =
-        Server::launch(TierModels::exact_only(model), meta, cfg).expect("server starts");
+    let (server, replicas) = Server::launch(model, meta, cfg).expect("server starts");
     let addr = server.local_addr().to_string();
     (server, replicas, addr)
 }
@@ -216,5 +218,40 @@ fn saturated_admission_sheds_429_but_health_and_inflight_requests_survive() {
         scores_of(&idle.text()),
         "saturated and idle scores must match bit-for-bit"
     );
+    server.join();
+}
+
+#[test]
+fn naming_a_tier_other_than_the_mapped_weights_is_a_400() {
+    // One weight set is served: the mapped W', which older clients name
+    // "exact". Any other tier is refused with a 400 saying so, never
+    // answered from W' untold.
+    let (model, meta) = mapped_via_artifact("tier");
+    let server = Server::start(model, meta, ServeConfig::default()).expect("server starts");
+    let mut client = connect(&server.local_addr().to_string());
+    let bad_input = |client: &mut Client| {
+        let text = client.get("/metrics").expect("metrics").text();
+        counter_value(&text, "serve_classify_bad_input")
+    };
+    let with_tier = |tier: &str| image_json(1).replacen('{', &format!("{{\"tier\":{tier},"), 1);
+    let before = bad_input(&mut client);
+    let refused = ["\"ideal\"", "\"surrogate\"", "7"];
+    for tier in refused {
+        let resp = client
+            .post_json("/v1/classify", &with_tier(tier))
+            .expect("classify");
+        assert_eq!(resp.status, 400, "{tier}: {}", resp.text());
+        assert!(
+            resp.text().contains("mapped weights"),
+            "{tier}: {}",
+            resp.text()
+        );
+    }
+    // "exact" and no tier at all are served, on the same connection.
+    for body in [with_tier("\"exact\""), image_json(1)] {
+        let ok = client.post_json("/v1/classify", &body).expect("classify");
+        assert_eq!(ok.status, 200, "{body}: {}", ok.text());
+    }
+    assert_eq!(bad_input(&mut client) - before, refused.len() as f64);
     server.join();
 }

@@ -18,11 +18,10 @@ use support::{
     CLASSES, INPUT_SHAPE,
 };
 use xbar_core::pipeline::{map_to_crossbars, MapConfig};
-use xbar_core::{load_artifact_from_file, save_artifact_to_file, ArtifactBundle, ArtifactMeta};
-use xbar_nn::arch::{build_from_spec, LayerSpec};
+use xbar_core::{load_artifact_from_file, save_artifact_to_file, ArtifactMeta};
 use xbar_nn::Mode;
 use xbar_obs::json::Json;
-use xbar_serve::{Client, LifecycleConfig, ServeConfig, Server, Tier, TierModels};
+use xbar_serve::{Client, LifecycleConfig, ServeConfig, Server};
 use xbar_sim::params::CrossbarParams;
 use xbar_tensor::Tensor;
 
@@ -355,204 +354,6 @@ fn full_batch_queue_is_backpressure_not_an_error() {
         statuses.contains(&200),
         "some requests must still get through: {statuses:?}"
     );
-    server
-        .shutdown_handle()
-        .store(true, std::sync::atomic::Ordering::SeqCst);
-    server.run_until_shutdown();
-}
-
-/// Builds a full fidelity-tier bundle around the tiny model: `W'` from a
-/// real mapping, the software weights as the ideal tier, a perturbed copy
-/// as the surrogate-folded tier, and an embedded surrogate net matching
-/// the mapped tile shape.
-fn tiered_bundle_via_artifact(tag: &str) -> ArtifactBundle {
-    let software = tiny_model();
-    let mut params = CrossbarParams::with_size(16);
-    params.sigma_variation = 0.0;
-    let cfg = MapConfig {
-        params,
-        ..Default::default()
-    };
-    let (noisy, report) = map_to_crossbars(&software, &cfg).expect("mapping succeeds");
-    let mut meta = ArtifactMeta::from_mapping("e2e tiered model", &cfg, &report);
-    meta.input_shape = INPUT_SHAPE.to_vec();
-    let in_dim = xbar_core::artifact::surrogate_input_dim(16, 16);
-    let arch = vec![
-        LayerSpec::Linear {
-            in_f: in_dim,
-            out_f: 8,
-        },
-        LayerSpec::ReLU,
-        LayerSpec::Linear { in_f: 8, out_f: 16 },
-    ];
-    meta.surrogate = Some(xbar_core::SurrogateMeta {
-        rows: 16,
-        cols: 16,
-        g_min: 1e-6,
-        g_max: 1e-5,
-        v_read: 0.25,
-        val_max_err: 0.031,
-        val_rms_err: 0.004,
-        train_pairs: 256,
-        seed: 17,
-        arch: arch.clone(),
-    });
-    let mut bundle = ArtifactBundle {
-        model: noisy.clone(),
-        meta,
-        ideal_model: Some(software),
-        surrogate_model: Some(noisy),
-        surrogate_net: Some(build_from_spec(&arch)),
-    };
-    let dir = unique_temp_dir(tag);
-    let path = dir.join("model.xbarmdl");
-    xbar_core::save_artifact_bundle_to_file(&mut bundle, &path).expect("save bundle");
-    let loaded = xbar_core::load_artifact_bundle_from_file(&path).expect("load bundle");
-    std::fs::remove_dir_all(&dir).ok();
-    loaded
-}
-
-#[test]
-fn fidelity_tiers_select_weight_sets_and_reject_bad_requests() {
-    let bundle = tiered_bundle_via_artifact("tiers");
-    let (models, meta) = TierModels::from_bundle(bundle);
-    let server = Server::start_tiered(models, meta, ServeConfig::default()).expect("server starts");
-    let addr = server.local_addr().to_string();
-    let mut client = connect(&addr);
-
-    // /v1/model reports the tier inventory and the surrogate's recorded
-    // validation error.
-    let info = client.get("/v1/model").expect("model");
-    assert_eq!(info.status, 200);
-    let info_json = Json::parse(&info.text()).expect("model JSON");
-    assert_eq!(
-        info_json.get("fidelity_tier").and_then(Json::as_str),
-        Some("exact"),
-        "{}",
-        info.text()
-    );
-    let tiers: Vec<&str> = info_json
-        .get("available_tiers")
-        .and_then(Json::as_arr)
-        .expect("available_tiers")
-        .iter()
-        .filter_map(Json::as_str)
-        .collect();
-    assert_eq!(
-        tiers,
-        vec!["exact", "surrogate", "ideal"],
-        "{}",
-        info.text()
-    );
-    assert_eq!(
-        info_json
-            .get("surrogate_val_max_err")
-            .and_then(Json::as_f64),
-        Some(0.031),
-        "{}",
-        info.text()
-    );
-
-    // The ideal tier answers with the software model's class.
-    let mut software = tiny_model();
-    let x = Tensor::from_vec(image(3), &[1, 1, 8, 8]).unwrap();
-    let logits = software.forward(&x, Mode::Eval).unwrap();
-    let software_class = logits
-        .as_slice()
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i as u64)
-        .unwrap();
-    let ideal = client
-        .post_json(
-            "/v1/classify",
-            &image_json(3).replacen('{', "{\"tier\":\"ideal\",", 1),
-        )
-        .expect("ideal classify");
-    assert_eq!(ideal.status, 200, "{}", ideal.text());
-    let ideal_json = Json::parse(&ideal.text()).unwrap();
-    assert_eq!(ideal_json.get("tier").and_then(Json::as_str), Some("ideal"));
-    assert_eq!(
-        ideal_json.get("class").and_then(Json::as_u64),
-        Some(software_class),
-        "ideal tier must serve the software weights: {}",
-        ideal.text()
-    );
-
-    // Default (no "tier" field) runs exact; the surrogate tier answers too.
-    let exact = client
-        .post_json("/v1/classify", &image_json(3))
-        .expect("exact classify");
-    assert_eq!(exact.status, 200, "{}", exact.text());
-    let exact_json = Json::parse(&exact.text()).unwrap();
-    assert_eq!(exact_json.get("tier").and_then(Json::as_str), Some("exact"));
-    let surrogate = client
-        .post_json(
-            "/v1/classify",
-            &image_json(3).replacen('{', "{\"tier\":\"surrogate\",", 1),
-        )
-        .expect("surrogate classify");
-    assert_eq!(surrogate.status, 200, "{}", surrogate.text());
-
-    // Unknown tier name: 400 naming the valid tiers.
-    let bad = client
-        .post_json(
-            "/v1/classify",
-            &image_json(3).replacen('{', "{\"tier\":\"turbo\",", 1),
-        )
-        .expect("bad tier");
-    assert_eq!(bad.status, 400, "{}", bad.text());
-    assert!(bad.text().contains("valid tiers"), "{}", bad.text());
-
-    // Per-tier counters moved for every tier exercised.
-    let metrics = client.get("/metrics").expect("metrics");
-    let text = metrics.text();
-    for tier in ["exact", "surrogate", "ideal"] {
-        assert!(
-            text.contains(&format!("serve_classify_tier_{tier}")),
-            "missing per-tier counter for {tier}: {text}"
-        );
-        assert!(
-            text.contains(&format!("serve_classify_tier_us_{tier}")),
-            "missing per-tier latency for {tier}: {text}"
-        );
-    }
-    assert!(text.contains("serve_fidelity_tier"), "{text}");
-    assert!(text.contains("serve_surrogate_val_max_err"), "{text}");
-
-    server
-        .shutdown_handle()
-        .store(true, std::sync::atomic::Ordering::SeqCst);
-    server.run_until_shutdown();
-}
-
-#[test]
-fn requesting_a_tier_the_artifact_lacks_is_a_descriptive_conflict() {
-    // A legacy exact-only artifact: surrogate and ideal must be refused
-    // with 409 and a message naming what *is* available — never silently
-    // served from the wrong weights.
-    let (server, addr) = start_server(ServeConfig::default());
-    let mut client = connect(&addr);
-    for tier in ["surrogate", "ideal"] {
-        let resp = client
-            .post_json(
-                "/v1/classify",
-                &image_json(1).replacen('{', &format!("{{\"tier\":\"{tier}\","), 1),
-            )
-            .expect("classify");
-        assert_eq!(resp.status, 409, "{tier}: {}", resp.text());
-        assert!(
-            resp.text().contains("available: exact"),
-            "{tier}: {}",
-            resp.text()
-        );
-    }
-    // The default tier still works on the same connection.
-    let ok = client
-        .post_json("/v1/classify", &image_json(1))
-        .expect("classify");
-    assert_eq!(ok.status, 200, "{}", ok.text());
     server
         .shutdown_handle()
         .store(true, std::sync::atomic::Ordering::SeqCst);
@@ -909,24 +710,4 @@ fn replica_pool_answers_bit_identically_to_a_single_instance() {
         .shutdown_handle()
         .store(true, std::sync::atomic::Ordering::SeqCst);
     server.run_until_shutdown();
-}
-
-#[test]
-fn default_tier_must_exist_in_the_artifact() {
-    let (model, meta) = mapped_via_artifact("default_tier");
-    let result = Server::start_tiered(
-        TierModels::exact_only(model),
-        meta,
-        ServeConfig {
-            default_tier: Tier::Surrogate,
-            ..ServeConfig::default()
-        },
-    );
-    match result {
-        Ok(_) => panic!("exact-only artifact cannot default to surrogate"),
-        Err(err) => assert!(
-            err.to_string().contains("available: exact"),
-            "descriptive startup error: {err}"
-        ),
-    }
 }

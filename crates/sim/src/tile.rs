@@ -113,24 +113,20 @@ impl TileSolveState {
 
 /// A tile's differential conductance pair after the full programming
 /// pipeline — quantization, closed-loop programming with write noise and
-/// stuck-at faults — ready either for the exact circuit solve or for a
-/// learned column-current emulator (`xbar-surrogate`).
-#[derive(Debug, Clone)]
-pub struct PreparedTile {
+/// stuck-at faults — ready for the circuit solve.
+struct PreparedTile {
     /// The programmed differential conductance pair.
-    pub pair: DifferentialPair,
+    pair: DifferentialPair,
     /// Read-verify verdict over both arrays.
-    pub fault_report: FaultReport,
+    fault_report: FaultReport,
     /// Fraction of devices (both arrays) within 1 % of `Gmin`.
-    pub low_g_fraction: f64,
+    low_g_fraction: f64,
 }
 
 /// Programs one weight tile onto a differential crossbar pair without
 /// solving the circuit: weights → conductances, quantization, and the
 /// closed-loop program-and-verify pass with write noise and stuck-at
-/// faults. This is exactly the state [`simulate_tile_seeded`] hands to the
-/// circuit solver, so an emulator fed the returned conductances sees the
-/// same arrays the exact path does, bit for bit.
+/// faults — the state [`simulate_tile_seeded`] hands to the circuit solver.
 ///
 /// # Errors
 ///
@@ -139,7 +135,7 @@ pub struct PreparedTile {
 /// # Panics
 ///
 /// Panics if `tile` is not 2-D.
-pub fn prepare_tile_conductances(
+fn prepare_tile_conductances(
     tile: &Tensor,
     scale: MappingScale,
     layer_abs_max: f32,
