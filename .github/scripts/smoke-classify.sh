@@ -28,5 +28,6 @@ METRICS_SCRAPE=$(mktemp)
 trap 'rm -f "$METRICS_SCRAPE"' EXIT
 curl -sf "http://$ADDR/metrics" > "$METRICS_SCRAPE"
 grep -q serve_classify_ok "$METRICS_SCRAPE"
+grep -q serve_batch_size_sum "$METRICS_SCRAPE"
 ./target/release/obs-report --check-prom "$METRICS_SCRAPE"
 curl -sf -X POST "http://$ADDR/admin/shutdown" > /dev/null

@@ -8,8 +8,8 @@
 //!
 //! `--trace` ingests a JSONL sink written by `--trace-out` (see
 //! `xbar_obs::sink`) and prints a per-phase wall-time breakdown (depth-0
-//! spans aggregated by name) plus quantiles for any log-bucketed latency
-//! histograms in the file. `--chrome` additionally converts the spans and
+//! spans aggregated by name) plus quantiles for every histogram in the
+//! file. `--chrome` additionally converts the spans and
 //! events into a Chrome-trace JSON loadable in `chrome://tracing` or
 //! ui.perfetto.dev. `--check-prom` parses a Prometheus text-format scrape
 //! (e.g. `curl .../metrics`) and exits nonzero if it is malformed — CI runs
@@ -133,18 +133,18 @@ fn print_phase_table(spans: &[SpanRecord]) {
     println!("{}", table.to_markdown());
 }
 
-/// Prints quantiles of every log-bucketed histogram in the sink (request
-/// and inference latencies).
-fn print_latency_table(text: &str) -> Result<(), String> {
+/// Prints quantiles of every histogram in the sink, each in the unit its
+/// series name carries (µs, a count, ppm).
+fn print_histogram_table(text: &str) -> Result<(), String> {
     let snap = parse_jsonl_metrics(text)?;
-    if snap.log_histograms.is_empty() {
+    if snap.histograms.is_empty() {
         return Ok(());
     }
     let mut table = Table::new(
-        "Latency histograms (µs)",
+        "Histograms",
         &["Series", "Count", "p50", "p90", "p99", "Max", "Mean"],
     );
-    for (name, h) in &snap.log_histograms {
+    for (name, h) in &snap.histograms {
         table.push_row(vec![
             name.clone(),
             h.count().to_string(),
@@ -191,7 +191,7 @@ fn run(argv: &[String]) -> Result<(), String> {
         let (spans, events) = parse_trace(&text)?;
         eprintln!("{path}: {} span(s), {} event(s)", spans.len(), events.len());
         print_phase_table(&spans);
-        print_latency_table(&text)?;
+        print_histogram_table(&text)?;
         if let Some(out) = chrome {
             let doc = chrome_trace(&spans, &events, &BTreeMap::new());
             std::fs::write(&out, doc.to_json())

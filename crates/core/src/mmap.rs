@@ -1,8 +1,9 @@
-//! Read-only memory-mapped files for zero-copy artifact loading.
+//! Read-only memory-mapped files for artifact loading without a read buffer.
 //!
 //! [`MappedFile`] maps a file `PROT_READ`/`MAP_PRIVATE` and exposes it as a
-//! `&[u8]`, so the `XBARMDL1` tensor-block parser reads weights straight
-//! out of the page cache instead of copying the file through a `BufReader`.
+//! `&[u8]`, so the `XBARMDL1` tensor-block parser decodes weights straight
+//! out of the page cache into the model's tensors instead of first copying
+//! the file through a `BufReader`.
 //! The raw `mmap`/`munmap` calls are declared directly (`std` already links
 //! the platform C library); on targets without a 64-bit `mmap` ABI the type
 //! transparently falls back to reading the file into memory, so callers

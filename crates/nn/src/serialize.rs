@@ -119,8 +119,16 @@ pub fn write_tensor_block<'a, W: Write>(
     Ok(())
 }
 
+/// Values decoded per read of [`read_tensor_block_into`]: its one staging
+/// buffer is a 4 KiB stack array, so no tensor is ever copied whole
+/// before it is decoded into place.
+const STAGE_VALUES: usize = 1024;
+
 /// Reads a tensor block into `slots`, validating the tensor count and each
-/// tensor's element count against the destination.
+/// tensor's element count against the destination. The data is decoded
+/// straight into the slots through one small stack buffer, so reading from
+/// a mapped file copies each weight once, from the mapping into its
+/// tensor.
 ///
 /// # Errors
 ///
@@ -132,6 +140,7 @@ pub fn read_tensor_block_into<R: Read>(
     slots: &mut [&mut Tensor],
 ) -> Result<(), TensorBlockError> {
     let mut len8 = [0u8; 8];
+    let mut stage = [0u8; 4 * STAGE_VALUES];
     read_exact_or_truncated(&mut reader, &mut len8, || "reading tensor count".into())?;
     let count = u64::from_le_bytes(len8) as usize;
     if count != slots.len() {
@@ -151,12 +160,14 @@ pub fn read_tensor_block_into<R: Read>(
                 slot.len()
             )));
         }
-        let mut bytes = vec![0u8; 4 * len];
-        read_exact_or_truncated(&mut reader, &mut bytes, || {
-            format!("reading data of tensor {idx} ({len} values)")
-        })?;
-        for (dst, chunk) in slot.as_mut_slice().iter_mut().zip(bytes.chunks_exact(4)) {
-            *dst = f32::from_le_bytes(chunk.try_into().expect("chunk of 4"));
+        for values in slot.as_mut_slice().chunks_mut(STAGE_VALUES) {
+            let bytes = &mut stage[..4 * values.len()];
+            read_exact_or_truncated(&mut reader, bytes, || {
+                format!("reading data of tensor {idx} ({len} values)")
+            })?;
+            for (dst, chunk) in values.iter_mut().zip(bytes.chunks_exact(4)) {
+                *dst = f32::from_le_bytes(chunk.try_into().expect("chunk of 4"));
+            }
         }
     }
     Ok(())

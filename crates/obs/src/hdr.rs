@@ -1,15 +1,18 @@
-//! Log-bucketed histogram (HDR-style) for latency metrics.
+//! Log-bucketed histogram (HDR-style) for every distribution the metrics
+//! registry records.
 //!
-//! Fixed-bound histograms need their bounds chosen per metric and go blind
-//! outside them; a log-bucketed histogram covers the whole `u64` range with
-//! a bounded relative error instead. Each power-of-two octave is split into
-//! `2^sub_bits` equal-width sub-buckets, so the worst-case relative error
-//! of any reconstructed value is `2^-sub_bits` (~3% at the default
-//! `sub_bits = 5`). Values below `2^sub_bits` get exact width-1 buckets.
+//! No bucket bounds are chosen per metric: the histogram covers the whole
+//! `u64` range with a bounded relative error. Each power-of-two octave is
+//! split into `2^sub_bits` equal-width sub-buckets, so the worst-case
+//! relative error of any reconstructed value is `2^-sub_bits` (~3% at the
+//! default `sub_bits = 5`). Values below `2^sub_bits` get exact width-1
+//! buckets, so small counts such as batch sizes and sweep counts are
+//! recorded exactly.
 //!
-//! Values are recorded as `u64` (microseconds for latency metrics). The
-//! count array grows lazily to the highest octave seen, so an idle
-//! histogram is a few dozen bytes.
+//! Values are recorded as `u64` in the unit the series name carries:
+//! microseconds, a count, or parts per million. The count array grows
+//! lazily to the highest octave seen, so an idle histogram is a few dozen
+//! bytes.
 
 /// Default octave subdivision: 32 sub-buckets per power of two, ~3%
 /// worst-case relative error on quantiles.

@@ -2,7 +2,7 @@
 //!
 //! Zero-dependency observability layer for the train → prune → map →
 //! simulate pipeline: structured spans and events ([`trace`]), a metrics
-//! registry with counters, gauges, and fixed-bucket histograms
+//! registry with counters, gauges, and log-bucketed histograms
 //! ([`metrics`]), and pluggable sinks — a human-readable stderr progress
 //! reporter and a JSONL run-manifest writer ([`sink`]).
 //!
@@ -30,7 +30,7 @@
 //!
 //! metrics::counter_add("doc/tiles", 1);
 //! metrics::gauge_set("doc/layer0/nf", 1.31);
-//! metrics::histogram_record("doc/solver_iters", 17.0, &[8.0, 16.0, 32.0, 64.0]);
+//! metrics::latency_record_us("doc/solver_iters", 17);
 //! ```
 //!
 //! ## Sinks
@@ -45,9 +45,10 @@
 //! ## Request tracing
 //!
 //! [`ring`] adds per-*request* observability on top of the span tracer:
-//! sampled requests get a [`ring::TraceId`], collect per-stage timings as
-//! they cross worker pools, and land in a bounded [`ring::TraceRing`].
-//! [`metrics::latency_record_us`] feeds latency samples into log-bucketed
+//! traced requests collect per-stage timings as they cross worker pools
+//! and finish with a [`ring::TraceId`], their stages published as spans in
+//! the one bounded span buffer. [`metrics::latency_record_us`] feeds every
+//! distribution — latencies, counts, scaled ratios — into log-bucketed
 //! [`hdr::LogHistogram`]s whose quantiles stay within ~3% without
 //! hand-picked bucket bounds. Metric names are declared once in [`names`];
 //! debug builds reject unregistered names at the record site.
@@ -62,7 +63,7 @@ pub mod sink;
 pub mod trace;
 
 pub use hdr::LogHistogram;
-pub use ring::{RequestTrace, Sampler, TraceId, TraceRing};
+pub use ring::{RequestTrace, Sampler, TraceId};
 pub use trace::{EventRecord, FieldValue, SpanGuard, SpanRecord, Watch};
 
 /// Starts a timed, nested span; the returned [`SpanGuard`] records the span

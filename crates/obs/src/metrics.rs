@@ -1,6 +1,5 @@
-//! Metrics registry: named counters, gauges, fixed-bucket histograms, and
-//! log-bucketed latency histograms behind a process-global, thread-safe
-//! store.
+//! Metrics registry: named counters, gauges and log-bucketed histograms
+//! behind a process-global, thread-safe store.
 //!
 //! Names are slash-separated paths (`sim/tile_solve_us`,
 //! `map/layer3/nf_mean`) declared in [`crate::names`]; in debug builds the
@@ -8,11 +7,11 @@
 //! fails a test instead of silently minting a phantom series. `BTreeMap`
 //! storage keeps snapshots and JSONL output deterministically ordered.
 //!
-//! Fixed-bucket histograms use caller-supplied bucket upper bounds plus an
-//! implicit overflow bucket, so recording is one `partition_point` and an
-//! increment — cheap enough for per-tile hot paths. Latency metrics use
-//! [`LogHistogram`] instead (whole `u64` range, ~3% relative error, no
-//! bounds to choose); record via [`latency_record_us`].
+//! Every distribution is a [`LogHistogram`] of non-negative integers
+//! (whole `u64` range, ~3% relative error, no bounds to choose), recorded
+//! through [`latency_record_us`]. A series whose values are fractional
+//! records them in a scaled integer unit that its name carries
+//! (`sim/nf_column_ppm`).
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
@@ -20,122 +19,11 @@ use std::sync::{Mutex, OnceLock};
 use crate::hdr::LogHistogram;
 use crate::names;
 
-/// Fixed-bucket histogram: `counts[i]` tallies values `<= bounds[i]`
-/// (first matching bound), `counts[bounds.len()]` is the overflow bucket.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Histogram {
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly increasing.
-    pub fn new(bounds: &[f64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    pub fn record(&mut self, value: f64) {
-        let idx = self.bounds.partition_point(|&b| b < value);
-        self.counts[idx] += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Bucket upper bounds (exclusive of the overflow bucket).
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts; one longer than [`Self::bounds`] (overflow last).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    pub fn count(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum / n as f64
-        }
-    }
-
-    /// Overwrites the contents from serialised form (JSONL parsing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts` is not one longer than the bounds.
-    pub(crate) fn restore(&mut self, counts: &[u64], sum: f64, min: Option<f64>, max: Option<f64>) {
-        assert_eq!(
-            counts.len(),
-            self.bounds.len() + 1,
-            "counts length mismatch"
-        );
-        self.counts = counts.to_vec();
-        self.sum = sum;
-        self.min = min.unwrap_or(f64::INFINITY);
-        self.max = max.unwrap_or(f64::NEG_INFINITY);
-    }
-
-    /// Merges `other` into `self`. Errors when the bucket bounds differ —
-    /// counts from different bucket layouts cannot be combined.
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), String> {
-        if self.bounds != other.bounds {
-            return Err(format!(
-                "cannot merge histograms with different bounds \
-                 ({:?} vs {:?})",
-                self.bounds, other.bounds
-            ));
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        Ok(())
-    }
-}
-
 #[derive(Default)]
 struct Registry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-    log_histograms: BTreeMap<String, LogHistogram>,
+    histograms: BTreeMap<String, LogHistogram>,
 }
 
 fn registry() -> &'static Mutex<Registry> {
@@ -157,52 +45,22 @@ pub fn gauge_set(name: &str, value: f64) {
     reg.gauges.insert(name.to_string(), value);
 }
 
-/// Records `value` into the named histogram, creating it with `bounds` on
-/// first use. Later calls ignore `bounds` (first registration wins), so
-/// callers should use a shared `const` for each metric. NaN, infinite, and
-/// negative values are dropped (counted in `obs/histogram_skipped`)
-/// instead of poisoning the min/max/sum statistics.
-pub fn histogram_record(name: &str, value: f64, bounds: &[f64]) {
+/// Records one non-negative integer sample: µs, a count or ppm, as the
+/// series name says. The named histogram is created at default resolution
+/// on first use.
+pub fn latency_record_us(name: &str, value: u64) {
     names::assert_registered(name);
     let mut reg = registry().lock().expect("metrics registry poisoned");
-    if !value.is_finite() || value < 0.0 {
-        *reg.counters
-            .entry(names::OBS_HISTOGRAM_SKIPPED.to_string())
-            .or_insert(0) += 1;
-        return;
+    // Look up before inserting: the per-column NF path records hundreds of
+    // samples per tile, and `entry` would allocate a key for each.
+    match reg.histograms.get_mut(name) {
+        Some(h) => h.record(value),
+        None => {
+            let mut h = LogHistogram::default();
+            h.record(value);
+            reg.histograms.insert(name.to_string(), h);
+        }
     }
-    reg.histograms
-        .entry(name.to_string())
-        .or_insert_with(|| Histogram::new(bounds))
-        .record(value);
-}
-
-/// Records a microsecond latency into the named log-bucketed histogram
-/// (created at default resolution on first use). Use for durations and
-/// sizes where the range is unknown ahead of time; quantiles come back via
-/// [`latency_quantile_us`] or the snapshot.
-pub fn latency_record_us(name: &str, us: u64) {
-    names::assert_registered(name);
-    let mut reg = registry().lock().expect("metrics registry poisoned");
-    reg.log_histograms
-        .entry(name.to_string())
-        .or_default()
-        .record(us);
-}
-
-/// Copy of the named log-bucketed histogram, if it has been recorded to.
-pub fn log_histogram(name: &str) -> Option<LogHistogram> {
-    registry()
-        .lock()
-        .expect("metrics registry poisoned")
-        .log_histograms
-        .get(name)
-        .cloned()
-}
-
-/// Quantile of the named log-bucketed histogram (`None` when absent).
-pub fn latency_quantile_us(name: &str, q: f64) -> Option<u64> {
-    log_histogram(name).map(|h| h.quantile(q))
 }
 
 /// Point-in-time copy of the whole registry, deterministically ordered.
@@ -210,8 +68,7 @@ pub fn latency_quantile_us(name: &str, q: f64) -> Option<u64> {
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, f64>,
-    pub histograms: BTreeMap<String, Histogram>,
-    pub log_histograms: BTreeMap<String, LogHistogram>,
+    pub histograms: BTreeMap<String, LogHistogram>,
 }
 
 pub fn snapshot() -> MetricsSnapshot {
@@ -220,7 +77,6 @@ pub fn snapshot() -> MetricsSnapshot {
         counters: reg.counters.clone(),
         gauges: reg.gauges.clone(),
         histograms: reg.histograms.clone(),
-        log_histograms: reg.log_histograms.clone(),
     }
 }
 
@@ -237,28 +93,13 @@ fn sanitize(name: &str) -> String {
     out
 }
 
-/// Escapes a label value per the exposition format: backslash, double
-/// quote, and newline get backslash escapes.
-fn escape_label_value(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl MetricsSnapshot {
     /// Renders the snapshot in the Prometheus text exposition format:
     /// one `name value` line per counter and gauge, and for each histogram
-    /// (fixed-bound and log-bucketed) cumulative `_bucket{le="..."}` lines
-    /// plus `_sum` and `_count`. Slashes in metric names are rewritten to
-    /// underscores, label values are escaped, and `BTreeMap` iteration
-    /// keeps series order deterministic, so the output always parses (see
+    /// cumulative `_bucket{le="..."}` lines over its non-empty buckets plus
+    /// `_sum` and `_count`. Slashes in metric names are rewritten to
+    /// underscores and `BTreeMap` iteration keeps series order
+    /// deterministic, so the output always parses (see
     /// [`parse_prometheus_text`]).
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -271,22 +112,6 @@ impl MetricsSnapshot {
             out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
         }
         for (name, hist) in &self.histograms {
-            let name = sanitize(name);
-            out.push_str(&format!("# TYPE {name} histogram\n"));
-            let mut cumulative = 0u64;
-            for (bound, count) in hist.bounds().iter().zip(hist.counts()) {
-                cumulative += count;
-                out.push_str(&format!(
-                    "{name}_bucket{{le=\"{}\"}} {cumulative}\n",
-                    escape_label_value(&bound.to_string())
-                ));
-            }
-            cumulative += hist.counts().last().copied().unwrap_or(0);
-            out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
-            out.push_str(&format!("{name}_sum {}\n", hist.sum()));
-            out.push_str(&format!("{name}_count {}\n", hist.count()));
-        }
-        for (name, hist) in &self.log_histograms {
             let name = sanitize(name);
             out.push_str(&format!("# TYPE {name} histogram\n"));
             let mut cumulative = 0u64;
@@ -441,74 +266,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_values_at_bound_edges() {
-        let mut h = Histogram::new(&[1.0, 10.0, 100.0]);
-        for v in [0.5, 1.0, 1.5, 10.0, 10.5, 100.0, 1e6] {
-            h.record(v);
-        }
-        // <=1: {0.5, 1.0}; <=10: {1.5, 10.0}; <=100: {10.5, 100.0}; over: {1e6}
-        assert_eq!(h.counts(), &[2, 2, 2, 1]);
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.min(), 0.5);
-        assert_eq!(h.max(), 1e6);
-        assert!((h.sum() - (0.5 + 1.0 + 1.5 + 10.0 + 10.5 + 100.0 + 1e6)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_histogram_mean_is_zero() {
-        let h = Histogram::new(&[1.0]);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn unsorted_bounds_rejected() {
-        let _ = Histogram::new(&[2.0, 1.0]);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = Histogram::new(&[1.0, 2.0]);
-        let mut b = Histogram::new(&[1.0, 2.0]);
-        a.record(0.5);
-        b.record(1.5);
-        b.record(5.0);
-        a.merge(&b).expect("same bounds merge");
-        assert_eq!(a.counts(), &[1, 1, 1]);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.max(), 5.0);
-        assert_eq!(a.min(), 0.5);
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_bounds() {
-        let mut a = Histogram::new(&[1.0, 2.0]);
-        let b = Histogram::new(&[1.0, 3.0]);
-        let before = a.clone();
-        let err = a.merge(&b).unwrap_err();
-        assert!(err.contains("different bounds"), "{err}");
-        assert_eq!(a, before, "failed merge must not mutate");
-    }
-
-    #[test]
-    fn histogram_record_skips_nan_and_negative() {
-        let skipped_before = counter_value(crate::names::OBS_HISTOGRAM_SKIPPED);
-        histogram_record("test/metrics/guarded", f64::NAN, &[1.0]);
-        histogram_record("test/metrics/guarded", -3.0, &[1.0]);
-        histogram_record("test/metrics/guarded", f64::INFINITY, &[1.0]);
-        histogram_record("test/metrics/guarded", 0.5, &[1.0]);
-        let snap = snapshot();
-        let h = &snap.histograms["test/metrics/guarded"];
-        assert_eq!(h.count(), 1, "only the finite non-negative value lands");
-        assert_eq!(h.min(), 0.5);
-        assert!(
-            counter_value(crate::names::OBS_HISTOGRAM_SKIPPED) >= skipped_before + 3,
-            "skips are counted"
-        );
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "not declared")]
     fn unregistered_metric_name_rejected_in_debug() {
@@ -516,15 +273,16 @@ mod tests {
     }
 
     #[test]
-    fn latency_log_histogram_records_and_quantiles() {
+    fn recorded_samples_read_back_with_quantiles() {
         for us in [100u64, 200, 400, 800, 100_000] {
             latency_record_us("test/metrics/lat_us", us);
         }
-        let h = log_histogram("test/metrics/lat_us").expect("created");
+        let snap = snapshot();
+        let h = &snap.histograms["test/metrics/lat_us"];
         assert_eq!(h.count(), 5);
-        let p50 = latency_quantile_us("test/metrics/lat_us", 0.5).unwrap();
+        let p50 = h.quantile(0.5);
         assert!(p50 >= 400 && p50 - 400 <= h.bucket_width(400), "p50={p50}");
-        assert_eq!(latency_quantile_us("test/metrics/absent", 0.5), None);
+        assert!(!snap.histograms.contains_key("test/metrics/absent"));
     }
 
     #[test]
@@ -532,15 +290,15 @@ mod tests {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("serve/requests".into(), 7);
         snap.gauges.insert("serve/up".into(), 1.0);
-        let mut h = Histogram::new(&[1.0, 4.0]);
-        h.record(0.5);
-        h.record(2.0);
-        h.record(9.0);
+        let mut h = LogHistogram::default();
+        h.record(1);
+        h.record(2);
+        h.record(9);
         snap.histograms.insert("serve/batch_size".into(), h);
         let mut lh = LogHistogram::default();
         lh.record(100);
         lh.record(100_000);
-        snap.log_histograms.insert("serve/infer_us".into(), lh);
+        snap.histograms.insert("serve/infer_us".into(), lh);
         let text = snap.to_text();
         assert!(text.contains("serve_requests 7"), "{text}");
         assert!(text.contains("serve_up 1"), "{text}");
@@ -549,13 +307,18 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("serve_batch_size_bucket{le=\"4\"} 2"),
+            text.contains("serve_batch_size_bucket{le=\"2\"} 2"),
+            "{text}"
+        );
+        assert!(
+            text.contains("serve_batch_size_bucket{le=\"9\"} 3"),
             "{text}"
         );
         assert!(
             text.contains("serve_batch_size_bucket{le=\"+Inf\"} 3"),
             "{text}"
         );
+        assert!(text.contains("serve_batch_size_sum 12"), "{text}");
         assert!(text.contains("serve_batch_size_count 3"), "{text}");
         assert!(text.contains("# TYPE serve_batch_size histogram"), "{text}");
         assert!(text.contains("# TYPE serve_infer_us histogram"), "{text}");
@@ -590,13 +353,15 @@ mod tests {
 
     #[test]
     fn label_values_escape_and_round_trip() {
-        let tricky = "a\"b\\c\nd";
-        let escaped = escape_label_value(tricky);
-        assert_eq!(escaped, "a\\\"b\\\\c\\nd");
-        let line = format!("m_bucket{{le=\"{escaped}\"}} 4\n");
-        let samples = parse_prometheus_text(&line).expect("parses");
+        // A quote, a backslash and a newline, each backslash-escaped the
+        // way the exposition format writes them.
+        let line = "m_bucket{le=\"a\\\"b\\\\c\\nd\"} 4\n";
+        let samples = parse_prometheus_text(line).expect("parses");
         assert_eq!(samples.len(), 1);
-        assert_eq!(samples[0].labels, vec![("le".into(), tricky.to_string())]);
+        assert_eq!(
+            samples[0].labels,
+            vec![("le".into(), "a\"b\\c\nd".to_string())]
+        );
         assert_eq!(samples[0].value, 4.0);
     }
 
@@ -605,12 +370,12 @@ mod tests {
         let mut snap = MetricsSnapshot::default();
         snap.counters.insert("serve/requests".into(), 7);
         snap.gauges.insert("serve/nf".into(), 1.25);
-        let mut h = Histogram::new(&[0.5, 2.5]);
-        h.record(1.0);
+        let mut h = LogHistogram::default();
+        h.record(1);
         snap.histograms.insert("sim/widths".into(), h);
         let mut lh = LogHistogram::default();
         lh.record(12345);
-        snap.log_histograms.insert("serve/lat_us".into(), lh);
+        snap.histograms.insert("serve/lat_us".into(), lh);
         let samples = parse_prometheus_text(&snap.to_text()).expect("parses");
         let get = |name: &str| {
             samples
@@ -622,6 +387,7 @@ mod tests {
         assert_eq!(get("serve_nf").value, 1.25);
         assert_eq!(get("sim_widths_count").value, 1.0);
         assert_eq!(get("serve_lat_us_count").value, 1.0);
+        assert_eq!(get("serve_lat_us_sum").value, 12345.0);
         let inf_bucket = samples
             .iter()
             .find(|s| {
@@ -662,13 +428,13 @@ mod tests {
         counter_add("test/reg/counter", 3);
         gauge_set("test/reg/gauge", 1.5);
         gauge_set("test/reg/gauge", 2.5);
-        histogram_record("test/reg/hist", 4.0, &[1.0, 10.0]);
-        latency_record_us("test/reg/lat", 77);
+        latency_record_us("test/reg/hist", 4);
+        latency_record_us("test/reg/hist", 40);
         let snap = snapshot();
         assert_eq!(snap.counters["test/reg/counter"], 5);
         assert_eq!(counter_value("test/reg/counter"), 5);
         assert_eq!(snap.gauges["test/reg/gauge"], 2.5);
-        assert_eq!(snap.histograms["test/reg/hist"].counts(), &[0, 1, 0]);
-        assert_eq!(snap.log_histograms["test/reg/lat"].count(), 1);
+        let h = &snap.histograms["test/reg/hist"];
+        assert_eq!((h.count(), h.sum(), h.min(), h.max()), (2, 44, 4, 40));
     }
 }

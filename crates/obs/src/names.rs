@@ -21,10 +21,9 @@
 pub enum MetricKind {
     Counter,
     Gauge,
-    /// Fixed-bound histogram (caller-supplied bucket bounds).
+    /// Log-bucketed histogram of integer samples (see
+    /// [`crate::hdr::LogHistogram`]).
     Histogram,
-    /// Log-bucketed latency histogram (see [`crate::hdr::LogHistogram`]).
-    LogHistogram,
 }
 
 impl MetricKind {
@@ -33,7 +32,6 @@ impl MetricKind {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
             MetricKind::Histogram => "histogram",
-            MetricKind::LogHistogram => "log histogram",
         }
     }
 }
@@ -74,7 +72,6 @@ pub const SERVE_PARSE_US: &str = "serve/parse_us";
 pub const SERVE_QUEUE_US: &str = "serve/queue_us";
 pub const SERVE_SLOW_REQUESTS: &str = "serve/slow_requests";
 pub const SERVE_TRACE_SAMPLED: &str = "serve/trace_sampled";
-pub const SERVE_TRACE_SPANS_DROPPED: &str = "serve/trace_spans_dropped";
 pub const SERVE_DRIFT_ELAPSED_S: &str = "serve/drift_elapsed_s";
 pub const SERVE_DRIFT_MEAN_DECAY: &str = "serve/drift_mean_decay";
 pub const SERVE_HEALTH_SWEEPS: &str = "serve/health_sweeps";
@@ -113,7 +110,7 @@ pub const SIM_REPROGRAMMED_CELLS: &str = "sim/reprogrammed_cells";
 pub const SIM_PROGRAM_RETRIES: &str = "sim/program_retries";
 pub const SIM_TILE_SOLVE_US: &str = "sim/tile_solve_us";
 pub const SIM_TILE_SWEEPS: &str = "sim/tile_sweeps";
-pub const SIM_NF_COLUMN: &str = "sim/nf_column";
+pub const SIM_NF_COLUMN_PPM: &str = "sim/nf_column_ppm";
 pub const SIM_SOLVE_CACHE_HITS: &str = "sim/solve_cache_hits";
 pub const SIM_SOLVE_CACHE_MISSES: &str = "sim/solve_cache_misses";
 pub const SIM_TILE_FALLBACKS: &str = "sim/tile_fallbacks";
@@ -142,7 +139,6 @@ pub const BENCH_SCENARIO_CACHE_HITS: &str = "bench/scenario_cache_hits";
 pub const BENCH_SCENARIO_CACHE_MISSES: &str = "bench/scenario_cache_misses";
 
 // --- observability self-metrics ------------------------------------------
-pub const OBS_HISTOGRAM_SKIPPED: &str = "obs/histogram_skipped";
 pub const OBS_TRACE_SPANS_DROPPED: &str = "obs/trace_spans_dropped";
 
 /// The full registry, one entry per metric or family. Keep alphabetised
@@ -250,7 +246,7 @@ pub const REGISTRY: &[MetricDef] = &[
     },
     MetricDef {
         name: SERVE_INFER_US,
-        kind: MetricKind::LogHistogram,
+        kind: MetricKind::Histogram,
         help: "forward-pass wall time per micro-batch (µs)",
     },
     MetricDef {
@@ -264,23 +260,18 @@ pub const REGISTRY: &[MetricDef] = &[
         help: "classify requests given a trace ID (--trace-sample)",
     },
     MetricDef {
-        name: SERVE_TRACE_SPANS_DROPPED,
-        kind: MetricKind::Counter,
-        help: "request spans evicted from the bounded trace ring",
-    },
-    MetricDef {
         name: "serve/request_us/*",
-        kind: MetricKind::LogHistogram,
+        kind: MetricKind::Histogram,
         help: "request latency per endpoint (µs): classify, healthz, metrics, model, admin, other",
     },
     MetricDef {
         name: SERVE_PARSE_US,
-        kind: MetricKind::LogHistogram,
+        kind: MetricKind::Histogram,
         help: "classify body parse on the event-loop thread: JSON and image (µs)",
     },
     MetricDef {
         name: SERVE_QUEUE_US,
-        kind: MetricKind::LogHistogram,
+        kind: MetricKind::Histogram,
         help: "classify request wait in the batch queue, enqueue to batch start (µs)",
     },
     MetricDef {
@@ -300,7 +291,7 @@ pub const REGISTRY: &[MetricDef] = &[
     },
     MetricDef {
         name: SERVE_SWEEP_US,
-        kind: MetricKind::LogHistogram,
+        kind: MetricKind::Histogram,
         help: "wall time per health sweep, probe replay plus mitigation (µs)",
     },
     MetricDef {
@@ -311,7 +302,7 @@ pub const REGISTRY: &[MetricDef] = &[
     MetricDef {
         name: SERVE_PROBE_DEVIATION,
         kind: MetricKind::Gauge,
-        help: "mean |score deviation| of probe outputs vs the pristine model",
+        help: "mean per-probe total-variation distance of probe softmax rows vs the pristine model",
     },
     MetricDef {
         name: SERVE_PROBE_CURRENT_DEVIATION,
@@ -384,9 +375,9 @@ pub const REGISTRY: &[MetricDef] = &[
         help: "relaxation sweeps per tile solve",
     },
     MetricDef {
-        name: SIM_NF_COLUMN,
+        name: SIM_NF_COLUMN_PPM,
         kind: MetricKind::Histogram,
-        help: "per-column non-ideality factor",
+        help: "per-column non-ideality factor (parts per million)",
     },
     MetricDef {
         name: SIM_SOLVE_CACHE_HITS,
@@ -467,11 +458,6 @@ pub const REGISTRY: &[MetricDef] = &[
         name: BENCH_SCENARIO_CACHE_MISSES,
         kind: MetricKind::Counter,
         help: "scenario trainings that actually trained",
-    },
-    MetricDef {
-        name: OBS_HISTOGRAM_SKIPPED,
-        kind: MetricKind::Counter,
-        help: "NaN/negative values dropped by histogram_record",
     },
     MetricDef {
         name: OBS_TRACE_SPANS_DROPPED,
@@ -559,12 +545,11 @@ mod tests {
             SERVE_QUEUE_US,
             SERVE_SLOW_REQUESTS,
             SERVE_TRACE_SAMPLED,
-            SERVE_TRACE_SPANS_DROPPED,
             SIM_TILE_SOLVE_US,
+            SIM_NF_COLUMN_PPM,
             SIM_SOLVE_CACHE_HITS,
             MAP_CROSSBARS,
             BENCH_SCENARIO_CACHE_HITS,
-            OBS_HISTOGRAM_SKIPPED,
             OBS_TRACE_SPANS_DROPPED,
         ] {
             assert!(is_registered(name), "{name}");
@@ -581,16 +566,14 @@ mod tests {
 
     #[test]
     fn readme_metrics_table_in_sync_with_registry() {
-        // The README embeds the reference table; regenerate it with
-        // `names::reference_markdown()` when adding a metric.
+        // The README embeds the reference table verbatim, so a changed
+        // name, kind or meaning fails here until the table is regenerated
+        // with `names::reference_markdown()`.
         let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
-        for def in REGISTRY {
-            assert!(
-                readme.contains(&format!("`{}`", def.name)),
-                "README.md metrics table is missing {:?}; paste the output of \
-                 xbar_obs::names::reference_markdown() into the metrics section",
-                def.name
-            );
-        }
+        assert!(
+            readme.contains(&reference_markdown()),
+            "README.md metrics table differs from the registry; paste the output of \
+             xbar_obs::names::reference_markdown() into the metrics section"
+        );
     }
 }

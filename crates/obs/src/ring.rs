@@ -1,22 +1,19 @@
-//! Per-request tracing: trace IDs, sampling, and a bounded ring of
-//! finished request traces.
+//! Per-request tracing: trace IDs, sampling, and per-stage timings.
 //!
 //! The span tracer in [`crate::trace`] answers "where did this *process*
 //! spend time"; this module answers "where did this *request* spend time".
-//! A sampled request gets a [`TraceId`] at accept, accumulates per-stage
-//! timings (queue → batch → solve → respond) as it moves through the
-//! worker pools, and lands as one [`RequestTrace`] in a [`TraceRing`] —
-//! bounded, so a long-running server holds the most recent N traces and
-//! counts what it evicted instead of growing without limit.
+//! A traced request accumulates per-stage timings (queue → batch → solve →
+//! respond) as it moves through the worker pools and finishes as one
+//! [`RequestTrace`] with a fresh [`TraceId`].
 //!
-//! [`RequestTrace::emit_spans`] bridges sampled requests into the global
-//! span buffer (each stage becomes a span tagged with the trace ID), so a
-//! JSONL sink written at shutdown lets `obs-report` join a response's
-//! trace ID to its queue/batch/solve breakdown.
+//! [`RequestTrace::emit_spans`] publishes a finished trace into the global
+//! span buffer (each stage becomes a span tagged with the trace ID). That
+//! buffer is bounded, so a long-running server keeps the most recent
+//! traces and counts what it evicted, and a JSONL sink written at shutdown
+//! lets `obs-report` join a response's trace ID to its queue/batch/solve
+//! breakdown.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use crate::trace::{self, FieldValue};
 
@@ -84,10 +81,6 @@ impl Sampler {
         }
     }
 
-    pub fn enabled(&self) -> bool {
-        self.every > 0
-    }
-
     /// Returns `true` for one request in every `N`.
     pub fn sample(&self) -> bool {
         if self.every == 0 {
@@ -108,7 +101,7 @@ pub struct StageTiming {
     pub duration_us: u64,
 }
 
-/// A finished, sampled request: its ID, route, and per-stage breakdown.
+/// A finished, traced request: its ID, route, and per-stage breakdown.
 #[derive(Debug, Clone)]
 pub struct RequestTrace {
     pub id: TraceId,
@@ -135,12 +128,6 @@ impl RequestTrace {
             start_us,
             duration_us,
         });
-    }
-
-    /// Wall time not covered by any recorded stage (scheduling gaps).
-    pub fn unaccounted_us(&self) -> u64 {
-        let staged: u64 = self.stages.iter().map(|s| s.duration_us).sum();
-        self.total_us.saturating_sub(staged)
     }
 
     /// Publishes each stage as a span in the global trace buffer, tagged
@@ -186,93 +173,6 @@ impl RequestTrace {
     }
 }
 
-struct RingInner {
-    traces: VecDeque<RequestTrace>,
-    dropped: u64,
-}
-
-/// Bounded, thread-safe ring of the most recent finished request traces.
-#[derive(Debug)]
-pub struct TraceRing {
-    cap: usize,
-    inner: Mutex<RingInner>,
-}
-
-impl std::fmt::Debug for RingInner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RingInner")
-            .field("len", &self.traces.len())
-            .field("dropped", &self.dropped)
-            .finish()
-    }
-}
-
-impl TraceRing {
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap > 0, "trace ring capacity must be positive");
-        TraceRing {
-            cap,
-            inner: Mutex::new(RingInner {
-                traces: VecDeque::with_capacity(cap.min(1024)),
-                dropped: 0,
-            }),
-        }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Appends a finished trace, evicting the oldest when full.
-    pub fn push(&self, trace: RequestTrace) {
-        let mut inner = self.inner.lock().expect("trace ring poisoned");
-        if inner.traces.len() == self.cap {
-            inner.traces.pop_front();
-            inner.dropped += 1;
-        }
-        inner.traces.push_back(trace);
-    }
-
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("trace ring poisoned").traces.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Traces evicted so far (monotonic).
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("trace ring poisoned").dropped
-    }
-
-    /// Copies the ring contents, oldest first.
-    pub fn snapshot(&self) -> Vec<RequestTrace> {
-        self.inner
-            .lock()
-            .expect("trace ring poisoned")
-            .traces
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Finds a trace by ID (most recent match).
-    pub fn find(&self, id: TraceId) -> Option<RequestTrace> {
-        self.inner
-            .lock()
-            .expect("trace ring poisoned")
-            .traces
-            .iter()
-            .rev()
-            .find(|t| t.id == id)
-            .cloned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,28 +198,9 @@ mod tests {
         let hits = (0..100).filter(|_| s.sample()).count();
         assert_eq!(hits, 25);
         let off = Sampler::new(0);
-        assert!(!off.enabled());
         assert!((0..10).all(|_| !off.sample()));
         let all = Sampler::new(1);
         assert!((0..10).all(|_| all.sample()));
-    }
-
-    #[test]
-    fn ring_bounds_and_counts_evictions() {
-        let ring = TraceRing::new(3);
-        for i in 0..5u64 {
-            ring.push(RequestTrace::new(TraceId(i + 1), "classify", i));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 2);
-        let snap = ring.snapshot();
-        assert_eq!(
-            snap.iter().map(|t| t.id.0).collect::<Vec<_>>(),
-            vec![3, 4, 5],
-            "oldest evicted first"
-        );
-        assert!(ring.find(TraceId(4)).is_some());
-        assert!(ring.find(TraceId(1)).is_none(), "evicted");
     }
 
     #[test]
@@ -328,8 +209,10 @@ mod tests {
         t.push_stage("queue", 100, 40);
         t.push_stage("solve", 140, 50);
         t.total_us = 100;
-        assert_eq!(t.unaccounted_us(), 10);
+        // The total sits next to the stages, so the 10us no stage covers
+        // shows in the dump.
         let line = t.describe();
+        assert!(line.contains("classify 100us"), "{line}");
         assert!(line.contains("queue 40us"), "{line}");
         assert!(line.contains("solve 50us"), "{line}");
         assert!(line.contains("0000000000000007"), "{line}");

@@ -12,14 +12,15 @@
 //! | `event`     | `name`, `thread`, `depth`, `at_us`, `fields`                          |
 //! | `counter`   | `name`, `value`                                                       |
 //! | `gauge`     | `name`, `value`                                                       |
-//! | `histogram` | `name`, `bounds`, `counts`, `sum`, `min`, `max`, `count`              |
 //! | `loghistogram` | `name`, `sub_bits`, `buckets` (array of `[edge, count]`), `sum`, `min`, `max`, `count` |
 //! | `summary`   | `phases`: array of `{name, total_us, count}`                          |
 //!
 //! `fields` is an object with the `key = value` pairs from the `span!` /
 //! `event!` call site. Timestamps are microseconds since the process trace
 //! epoch. The `summary` line aggregates depth-0 spans by name, in first-
-//! start order — the same data the phase-timing table prints.
+//! start order — the same data the phase-timing table prints. Readers skip
+//! line types they do not know, such as the fixed-bucket `histogram` lines
+//! of older files.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -27,7 +28,7 @@ use std::path::Path;
 
 use crate::hdr::LogHistogram;
 use crate::json::{obj, Json};
-use crate::metrics::{Histogram, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 use crate::trace::{self, FieldValue};
 
 /// Enables/disables live progress lines on stderr (events and top-level
@@ -119,40 +120,7 @@ pub(crate) fn fields_to_json(fields: &[(&'static str, FieldValue)]) -> Json {
     )
 }
 
-fn histogram_to_json(name: &str, h: &Histogram) -> Json {
-    obj(vec![
-        ("type", Json::Str("histogram".into())),
-        ("name", Json::Str(name.into())),
-        (
-            "bounds",
-            Json::Arr(h.bounds().iter().map(|&b| Json::Num(b)).collect()),
-        ),
-        (
-            "counts",
-            Json::Arr(h.counts().iter().map(|&c| Json::Num(c as f64)).collect()),
-        ),
-        ("sum", Json::Num(h.sum())),
-        (
-            "min",
-            if h.count() == 0 {
-                Json::Null
-            } else {
-                Json::Num(h.min())
-            },
-        ),
-        (
-            "max",
-            if h.count() == 0 {
-                Json::Null
-            } else {
-                Json::Num(h.max())
-            },
-        ),
-        ("count", Json::Num(h.count() as f64)),
-    ])
-}
-
-fn log_histogram_to_json(name: &str, h: &LogHistogram) -> Json {
+fn histogram_to_json(name: &str, h: &LogHistogram) -> Json {
     obj(vec![
         ("type", Json::Str("loghistogram".into())),
         ("name", Json::Str(name.into())),
@@ -251,9 +219,6 @@ pub fn render_jsonl(run: &RunInfo) -> String {
     for (name, histogram) in &metrics.histograms {
         lines.push(histogram_to_json(name, histogram));
     }
-    for (name, histogram) in &metrics.log_histograms {
-        lines.push(log_histogram_to_json(name, histogram));
-    }
     lines.push(obj(vec![
         ("type", Json::Str("summary".into())),
         (
@@ -328,36 +293,6 @@ pub fn parse_jsonl_metrics(text: &str) -> Result<MetricsSnapshot, String> {
                     .ok_or_else(|| format!("line {}: bad gauge value", lineno + 1))?;
                 snap.gauges.insert(name()?, value);
             }
-            "histogram" => {
-                let bounds: Vec<f64> = doc
-                    .get("bounds")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| format!("line {}: missing bounds", lineno + 1))?
-                    .iter()
-                    .filter_map(Json::as_f64)
-                    .collect();
-                let counts: Vec<u64> = doc
-                    .get("counts")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| format!("line {}: missing counts", lineno + 1))?
-                    .iter()
-                    .filter_map(Json::as_u64)
-                    .collect();
-                if counts.len() != bounds.len() + 1 {
-                    return Err(format!("line {}: counts/bounds mismatch", lineno + 1));
-                }
-                let mut h = Histogram::new(&bounds);
-                // Reconstruct exact counts/sum/min/max via a synthetic
-                // replay: record a representative per bucket, then fix up
-                // the statistics from the serialised truth.
-                h.restore(
-                    &counts,
-                    doc.get("sum").and_then(Json::as_f64).unwrap_or(0.0),
-                    doc.get("min").and_then(Json::as_f64),
-                    doc.get("max").and_then(Json::as_f64),
-                );
-                snap.histograms.insert(name()?, h);
-            }
             "loghistogram" => {
                 let sub_bits = doc
                     .get("sub_bits")
@@ -389,7 +324,7 @@ pub fn parse_jsonl_metrics(text: &str) -> Result<MetricsSnapshot, String> {
                     doc.get("max").and_then(Json::as_u64).unwrap_or(0),
                 )
                 .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                snap.log_histograms.insert(name()?, h);
+                snap.histograms.insert(name()?, h);
             }
             _ => {}
         }
@@ -406,8 +341,8 @@ mod tests {
     fn jsonl_metrics_round_trip() {
         metrics::counter_add("test/sink/tiles", 7);
         metrics::gauge_set("test/sink/nf", 1.4375);
-        for v in [3.0, 9.0, 150.0] {
-            metrics::histogram_record("test/sink/iters", v, &[4.0, 16.0, 64.0]);
+        for v in [3, 9, 150] {
+            metrics::latency_record_us("test/sink/iters", v);
         }
         for us in [5u64, 800, 42_000] {
             metrics::latency_record_us("test/sink/lat_us", us);
@@ -444,9 +379,19 @@ mod tests {
             full.histograms["test/sink/iters"]
         );
         assert_eq!(
-            snap.log_histograms["test/sink/lat_us"],
-            full.log_histograms["test/sink/lat_us"]
+            snap.histograms["test/sink/lat_us"],
+            full.histograms["test/sink/lat_us"]
         );
+    }
+
+    #[test]
+    fn fixed_bucket_histogram_lines_of_older_files_are_skipped() {
+        let text = "{\"type\":\"histogram\",\"name\":\"sim/nf_column\",\"bounds\":[0.1],\
+                    \"counts\":[2,0],\"sum\":0.1,\"min\":0.05,\"max\":0.05,\"count\":2}\n\
+                    {\"type\":\"counter\",\"name\":\"map/crossbars\",\"value\":3}\n";
+        let snap = parse_jsonl_metrics(text).expect("an unknown line type is not an error");
+        assert!(snap.histograms.is_empty());
+        assert_eq!(snap.counters["map/crossbars"], 3);
     }
 
     #[test]

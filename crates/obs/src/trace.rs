@@ -11,7 +11,7 @@
 //!   use), which keeps records `Copy`-cheap and makes JSONL output
 //!   machine-diffable without wall-clock noise.
 //! * The buffer is a ring: a long-running server keeps the most recent
-//!   [`buffer_capacity`] records per kind and counts what it evicted
+//!   [`BUFFER_CAPACITY`] records per kind and counts what it evicted
 //!   (`obs/trace_spans_dropped`) instead of growing without bound.
 //!   Positions handed to [`Watch`] are *logical* (monotonic since process
 //!   start), so a watch survives evictions — it just sees fewer records.
@@ -20,7 +20,7 @@
 //!   thread, so parallel tests don't see each other's records.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -114,23 +114,10 @@ pub struct EventRecord {
     pub at_us: u64,
 }
 
-/// Default per-kind buffer capacity: enough for every record a bench run
-/// produces, small enough (a few MB) to hold resident in a server.
-pub const DEFAULT_BUFFER_CAPACITY: usize = 65_536;
-
-static BUFFER_CAP: AtomicUsize = AtomicUsize::new(DEFAULT_BUFFER_CAPACITY);
-
-/// Current per-kind (spans, events) buffer capacity.
-pub fn buffer_capacity() -> usize {
-    BUFFER_CAP.load(Ordering::Relaxed)
-}
-
-/// Overrides the buffer capacity (records already stored are kept until
-/// evicted by new pushes). Intended for long-running servers that want a
-/// smaller resident ring; a zero capacity is clamped to 1.
-pub fn set_buffer_capacity(cap: usize) {
-    BUFFER_CAP.store(cap.max(1), Ordering::Relaxed);
-}
+/// Per-kind (spans, events) buffer capacity: enough for every record a
+/// bench run produces, small enough (a few MB) to hold resident in a
+/// server.
+pub const BUFFER_CAPACITY: usize = 65_536;
 
 #[derive(Default)]
 struct Buffer {
@@ -274,7 +261,7 @@ impl Drop for SpanGuard {
         buffer()
             .lock()
             .expect("trace buffer poisoned")
-            .push_span(record, buffer_capacity());
+            .push_span(record, BUFFER_CAPACITY);
     }
 }
 
@@ -293,7 +280,7 @@ pub fn record_span_raw(name: &'static str, fields: Fields, start_us: u64, durati
     buffer()
         .lock()
         .expect("trace buffer poisoned")
-        .push_span(record, buffer_capacity());
+        .push_span(record, BUFFER_CAPACITY);
 }
 
 /// Records an instantaneous event; used via the `event!` macro.
@@ -311,7 +298,7 @@ pub fn record_event(name: &'static str, fields: Fields) {
     buffer()
         .lock()
         .expect("trace buffer poisoned")
-        .push_event(record, buffer_capacity());
+        .push_event(record, BUFFER_CAPACITY);
 }
 
 /// Snapshot of the retained spans (all threads), in completion order.
@@ -539,12 +526,5 @@ mod tests {
         assert_eq!(buf.events.len(), 3);
         assert_eq!(buf.dropped_events, 2);
         assert_eq!(buf.events_base, 2);
-    }
-
-    #[test]
-    fn default_capacity_is_sane() {
-        // Mutating the global capacity here would race parallel tests;
-        // the clamp in set_buffer_capacity is `.max(1)` by inspection.
-        assert!(buffer_capacity() >= 1);
     }
 }

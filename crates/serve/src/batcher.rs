@@ -27,9 +27,6 @@ use xbar_obs::ring::StageTiming;
 use xbar_obs::{metrics, names, trace};
 use xbar_tensor::Tensor;
 
-/// Bucket bounds for the `serve/batch_size` histogram.
-const BATCH_SIZE_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
-
 /// Result of classifying one image.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassifyOutcome {
@@ -271,7 +268,7 @@ pub fn classify_batch(model: &mut Sequential, input_shape: &[usize], batch: Vec<
         .map_err(|e| format!("forward failed: {e}"));
     let solve_us = start.elapsed().as_micros() as u64;
     metrics::latency_record_us(names::SERVE_INFER_US, solve_us);
-    metrics::histogram_record(names::SERVE_BATCH_SIZE, n as f64, BATCH_SIZE_BOUNDS);
+    metrics::latency_record_us(names::SERVE_BATCH_SIZE, n as u64);
     metrics::counter_add(names::SERVE_BATCHES, 1);
     // queue: enqueue → batch assembly; batch: stacking; solve: the shared
     // forward pass. Start offsets are absolute (trace epoch) so the stages
@@ -379,6 +376,29 @@ mod tests {
                 "request {i}: micro-batched scores must be bit-identical"
             );
             assert_eq!(batched.class, single.class);
+        }
+    }
+
+    #[test]
+    fn batch_size_keeps_the_exported_names_the_benchmark_scrapes() {
+        let slot = ResponseSlot::new();
+        classify_batch(
+            &mut tiny_model(),
+            &[1, 8, 8],
+            vec![Pending::new(image(0), Arc::clone(&slot))],
+        );
+        slot.wait(Duration::from_secs(1))
+            .expect("slot filled")
+            .expect("classify ok");
+        // The registry is process-global and shared with parallel tests,
+        // so only the presence of each series is checked.
+        let text = metrics::to_text();
+        for series in [
+            "serve_batch_size_bucket",
+            "serve_batch_size_sum",
+            "serve_batch_size_count",
+        ] {
+            assert!(text.contains(series), "{series} missing from:\n{text}");
         }
     }
 

@@ -24,7 +24,8 @@
 //! Tracing: `--trace-sample N` traces one classify request in N (the
 //! response carries a `trace_id` and the queue → batch → solve → respond
 //! spans land in the trace buffer); `--slow-ms N` dumps any slower request
-//! to stderr with its stage breakdown; `--trace-out PATH` writes the JSONL
+//! to stderr with its stage breakdown and traces it, sampled or not;
+//! `--trace-out PATH` writes the JSONL
 //! observability sink (spans + metrics) at shutdown, ready for
 //! `obs-report`.
 //!

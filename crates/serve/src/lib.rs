@@ -34,7 +34,8 @@
 //! machine instead of a thread per connection, so thousands of keep-alive
 //! connections cost file descriptors rather than stacks.
 //! `/healthz`, `/metrics`, and `/v1/model` are answered directly on that
-//! fast path and are never shed. Artifacts load zero-copy via `mmap`.
+//! fast path and are never shed. Artifacts load via `mmap`, with one copy
+//! of the weights, from the mapped file into the model's tensors.
 //!
 //! Concurrent classify requests are micro-batched ([`batcher`]) and
 //! executed by a pool of [`server::ServeConfig::replicas`] inference

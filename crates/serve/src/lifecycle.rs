@@ -158,7 +158,7 @@ pub struct SweepReport {
 
 struct SlotInner {
     model: Sequential,
-    meta: ArtifactMeta,
+    meta: Arc<ArtifactMeta>,
 }
 
 /// A versioned, hot-swappable holder of the served network and its
@@ -174,7 +174,10 @@ impl ModelSlot {
     pub fn new(model: Sequential, meta: ArtifactMeta) -> Self {
         Self {
             version: AtomicU64::new(1),
-            inner: Mutex::new(SlotInner { model, meta }),
+            inner: Mutex::new(SlotInner {
+                model,
+                meta: Arc::new(meta),
+            }),
         }
     }
 
@@ -189,9 +192,9 @@ impl ModelSlot {
         (self.version.load(Ordering::SeqCst), inner.model.clone())
     }
 
-    /// Clones the current artifact metadata.
-    pub fn meta(&self) -> ArtifactMeta {
-        self.inner.lock().expect("model slot poisoned").meta.clone()
+    /// The current artifact metadata (a shared pointer, not a copy).
+    pub fn meta(&self) -> Arc<ArtifactMeta> {
+        Arc::clone(&self.inner.lock().expect("model slot poisoned").meta)
     }
 
     /// Clones the current mapped network.
@@ -245,7 +248,7 @@ impl ModelSlot {
         metrics::gauge_set(names::SERVE_REPAIRED_COLUMNS, meta.repaired_columns as f64);
         metrics::gauge_set(names::SERVE_MAX_FAULT_SCORE, meta.max_fault_score);
         inner.model = model;
-        inner.meta = meta;
+        inner.meta = Arc::new(meta);
         Ok(self.version.fetch_add(1, Ordering::SeqCst) + 1)
     }
 }
@@ -255,28 +258,25 @@ impl ModelSlot {
 /// one forward pass per batch. It re-clones from the [`ModelSlot`]
 /// between micro-batches whenever the published version moves; in-flight
 /// batches always complete on the clone they started with, which is what
-/// makes artifact swaps lossless. With `replica` set, every request it
-/// executes is counted on that replica's `serve/replica_requests/<id>`
-/// series so replica fairness is observable (and testable) from
-/// `/metrics`.
+/// makes artifact swaps lossless. Every request it executes is counted on
+/// replica `replica`'s `serve/replica_requests/<id>` series so replica
+/// fairness is observable (and testable) from `/metrics`.
 pub fn replica_inference_loop(
     slot: &ModelSlot,
     queue: &BatchQueue,
     max_batch: usize,
-    replica: Option<usize>,
+    replica: usize,
 ) {
     // Reloads are validated shape-compatible, so the input shape is stable
     // for the life of the process.
     let input_shape = slot.meta().input_shape.clone();
-    let counter = replica.map(names::serve_replica_requests);
+    let counter = names::serve_replica_requests(replica);
     let (mut version, mut model) = slot.snapshot();
     while let Some(batch) = queue.next_batch(max_batch) {
         if slot.version() != version {
             (version, model) = slot.snapshot();
         }
-        if let Some(name) = &counter {
-            metrics::counter_add(name, batch.len() as u64);
-        }
+        metrics::counter_add(&counter, batch.len() as u64);
         classify_batch(&mut model, &input_shape, batch);
     }
 }
@@ -533,7 +533,7 @@ impl DriftController {
                 state.drift.reprogram_all();
                 let model = state.drift.snapshot_model();
                 let version = self.slot.publish_exact(model);
-                (version, self.slot.meta().label)
+                (version, self.slot.meta().label.clone())
             }
         };
         let elapsed = state.drift.elapsed();

@@ -43,7 +43,7 @@ use crate::lifecycle::{
 use xbar_core::ArtifactMeta;
 use xbar_nn::Sequential;
 use xbar_obs::json::Json;
-use xbar_obs::ring::{next_trace_id, RequestTrace, Sampler, TraceRing};
+use xbar_obs::ring::{next_trace_id, RequestTrace, Sampler};
 use xbar_obs::{metrics, names, trace};
 
 /// POSIX signal handling without a libc crate: `std` already links libc on
@@ -114,14 +114,12 @@ pub struct ServeConfig {
     pub admission_limit: usize,
     /// Trace 1-in-N classify requests (0 disables tracing). Sampled
     /// requests get a `trace_id` in the response and their queue → batch →
-    /// solve → respond breakdown lands in the trace ring and span buffer.
+    /// solve → respond breakdown lands in the span buffer.
     pub trace_sample: u64,
     /// Dump any classify request slower than this many milliseconds to
-    /// stderr (with its stage breakdown) and keep it in the trace ring even
-    /// when unsampled. 0 disables.
+    /// stderr (with its stage breakdown) and trace it like a sampled one
+    /// even when unsampled. 0 disables.
     pub slow_ms: u64,
-    /// Capacity of the bounded ring of finished request traces.
-    pub trace_ring_cap: usize,
     /// Drift lifecycle: health sweeps, mitigation ladder, test hooks. The
     /// default disables it (no drift model, no sweep thread).
     pub lifecycle: LifecycleConfig,
@@ -140,7 +138,6 @@ impl Default for ServeConfig {
             admission_limit: 0,
             trace_sample: 0,
             slow_ms: 0,
-            trace_ring_cap: 1024,
             lifecycle: LifecycleConfig::default(),
         }
     }
@@ -178,9 +175,11 @@ pub(crate) struct Ctx {
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) cfg: ServeConfig,
     pub(crate) sampler: Sampler,
-    pub(crate) trace_ring: Arc<TraceRing>,
     /// Resolved admission limit (see [`ServeConfig::admission_limit`]).
     pub(crate) admission_limit: usize,
+    /// Values per classify image. Fixed for the life of the server:
+    /// reloads refuse an artifact with a different input shape.
+    pub(crate) input_len: usize,
 }
 
 /// A classify request handed to the inference replicas, with everything
@@ -260,7 +259,6 @@ pub struct Server {
     infer_handles: Vec<JoinHandle<()>>,
     sweep_handle: Option<JoinHandle<()>>,
     batch_queue: Arc<BatchQueue>,
-    trace_ring: Arc<TraceRing>,
 }
 
 impl Server {
@@ -322,8 +320,8 @@ impl Server {
             _ => None,
         };
 
-        let trace_ring = Arc::new(TraceRing::new(cfg.trace_ring_cap.max(1)));
         let admission_limit = cfg.effective_admission_limit();
+        let input_len = slot.meta().input_len();
         let ctx = Arc::new(Ctx {
             slot: Arc::clone(&slot),
             lifecycle,
@@ -331,8 +329,8 @@ impl Server {
             shutdown: Arc::clone(&shutdown),
             cfg: cfg.clone(),
             sampler: Sampler::new(cfg.trace_sample),
-            trace_ring: Arc::clone(&trace_ring),
             admission_limit,
+            input_len,
         });
 
         // Build the event loop before spawning so epoll/pipe setup errors
@@ -360,7 +358,6 @@ impl Server {
             infer_handles: Vec::new(),
             sweep_handle,
             batch_queue,
-            trace_ring,
         };
         Ok((server, replicas))
     }
@@ -374,7 +371,7 @@ impl Server {
             let max_batch = replicas.max_batch;
             let handle = thread::Builder::new()
                 .name(format!("xbar-infer-{i}"))
-                .spawn(move || replica_inference_loop(&slot, &queue, max_batch, Some(i)))
+                .spawn(move || replica_inference_loop(&slot, &queue, max_batch, i))
                 .expect("spawn inference replica");
             self.infer_handles.push(handle);
         }
@@ -383,12 +380,6 @@ impl Server {
     /// The bound address (resolves `:0` to the picked port).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The bounded ring of finished request traces (sampled and slow
-    /// requests land here; see [`ServeConfig::trace_sample`]).
-    pub fn trace_ring(&self) -> Arc<TraceRing> {
-        Arc::clone(&self.trace_ring)
     }
 
     /// A flag other threads (or the admin endpoint) can set to stop the
@@ -425,11 +416,7 @@ impl Server {
         if let Some(handle) = self.sweep_handle.take() {
             handle.join().expect("health-sweep thread panicked");
         }
-        // Final accounting: how much tracing data the bounded buffers shed.
-        let ring_dropped = self.trace_ring.dropped();
-        if ring_dropped > 0 {
-            metrics::counter_add(names::SERVE_TRACE_SPANS_DROPPED, ring_dropped);
-        }
+        // Final accounting: how much tracing data the bounded buffer shed.
         let (spans_dropped, events_dropped) = trace::dropped_counts();
         if spans_dropped + events_dropped > 0 {
             metrics::counter_add(
@@ -717,7 +704,7 @@ fn reload_without_lifecycle(
             // Nothing drifts without a lifecycle; republish as-is so the
             // endpoint still answers (and bumps the version) uniformly.
             let model = slot.exact_model();
-            (slot.publish_exact(model), slot.meta().label)
+            (slot.publish_exact(model), slot.meta().label.clone())
         }
     };
     metrics::counter_add(names::SERVE_RELOADS, 1);
@@ -865,11 +852,10 @@ fn classify_dispatch(
     }
     let req_start_us = trace::now_us();
     let sampled = ctx.sampler.sample();
-    let meta = ctx.slot.meta();
     let parse_start = Instant::now();
     let parsed = parse_body(&request.body).and_then(|json| {
         check_tier(&json)?;
-        parse_image(&json, meta.input_len())
+        parse_image(&json, ctx.input_len)
     });
     metrics::latency_record_us(
         names::SERVE_PARSE_US,
@@ -969,7 +955,7 @@ pub(crate) fn finish_inflight(
             if inflight.sampled || slow {
                 let mut rec =
                     RequestTrace::new(next_trace_id(), inflight.endpoint, inflight.req_start_us);
-                rec.stages = outcome.stages.clone();
+                rec.stages = outcome.stages;
                 rec.push_stage(
                     "respond",
                     respond_start_us,
@@ -978,15 +964,14 @@ pub(crate) fn finish_inflight(
                 rec.total_us = total_us;
                 if inflight.sampled {
                     metrics::counter_add(names::SERVE_TRACE_SAMPLED, 1);
-                    rec.emit_spans();
                 }
                 if slow {
                     metrics::counter_add(names::SERVE_SLOW_REQUESTS, 1);
                     eprintln!("[serve] slow request: {}", rec.describe());
                 }
+                // Spans before write: a client that sees the ID can find it.
+                rec.emit_spans();
                 fields.push(("trace_id".into(), Json::Str(rec.id.to_string())));
-                // Ring before write: a client that sees the ID can find it.
-                ctx.trace_ring.push(rec);
             }
             json_bytes(200, "OK", &Json::Obj(fields), keep_alive)
         }

@@ -6,7 +6,9 @@
 //!
 //! The `"tier"` test lives here too: it counts `serve_classify_bad_input`
 //! exactly, and no other test in this binary sends a bad classify body
-//! (the end-to-end suite does, in parallel, in its own process).
+//! (the end-to-end suite does, in parallel, in its own process). Likewise
+//! the slow-request test counts `serve_slow_requests` exactly, and no other
+//! test in this binary sets `slow_ms`.
 
 #[path = "../../tests/support/mod.rs"]
 mod support;
@@ -19,6 +21,7 @@ use super::{Replicas, ServeConfig, Server};
 use crate::client::Client;
 use support::{counter_value, image_json, mapped_via_artifact, scores_of};
 use xbar_obs::json::Json;
+use xbar_obs::{trace, FieldValue};
 
 /// Starts a server on the mapped tiny model whose replicas stay held until
 /// the test hands the returned [`Replicas`] to `spawn_replicas`.
@@ -253,5 +256,57 @@ fn naming_a_tier_other_than_the_mapped_weights_is_a_400() {
         assert_eq!(ok.status, 200, "{body}: {}", ok.text());
     }
     assert_eq!(bad_input(&mut client) - before, refused.len() as f64);
+    server.join();
+}
+
+#[test]
+fn a_slow_unsampled_classify_keeps_its_trace() {
+    // Sampling is off, so only the slow-request path can trace this
+    // classify. It waits in the queue, replicas held, until it is past the
+    // 1 ms threshold.
+    let (mut server, replicas, addr) = start_held(ServeConfig {
+        slow_ms: 1,
+        trace_sample: 0,
+        ..ServeConfig::default()
+    });
+    let mut client = connect(&addr);
+    let slow_requests = |client: &mut Client| {
+        let text = client.get("/metrics").expect("metrics").text();
+        counter_value(&text, "serve_slow_requests")
+    };
+    let before = slow_requests(&mut client);
+    let parked_addr = addr.clone();
+    let parked = thread::spawn(move || {
+        let mut client = connect(&parked_addr);
+        let resp = client
+            .post_json("/v1/classify", &image_json(4))
+            .expect("parked classify");
+        (resp.status, resp.text())
+    });
+    wait_for_queue_depth(&mut client, 1);
+    thread::sleep(Duration::from_millis(5));
+    server.spawn_replicas(replicas);
+    let (status, body) = parked.join().expect("parked thread");
+    assert_eq!(status, 200, "{body}");
+    let id = Json::parse(&body)
+        .expect("classify JSON")
+        .get("trace_id")
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("a slow response carries a trace_id: {body}"))
+        .to_string();
+    assert_eq!(slow_requests(&mut client) - before, 1.0);
+
+    // Its spans are in the one span buffer, joined on the trace ID.
+    let tag = ("trace_id", FieldValue::Str(id.clone()));
+    let names: Vec<&str> = trace::all_spans()
+        .iter()
+        .filter(|s| s.fields.contains(&tag))
+        .map(|s| s.name)
+        .collect();
+    assert_eq!(
+        names,
+        ["queue", "batch", "solve", "respond", "request"],
+        "spans of slow request {id}"
+    );
     server.join();
 }

@@ -339,16 +339,11 @@ impl NonIdealSolver {
             SolveMethod::LineRelaxation => self.solve_lines_batch(g, vs)?,
         };
         xbar_obs::metrics::counter_add(names::SIM_SOLVE_BATCH_CALLS, 1);
-        xbar_obs::metrics::histogram_record(
-            names::SIM_SOLVE_BATCH_SIZE,
-            vs.len() as f64,
-            BATCH_SIZE_BOUNDS,
-        );
+        xbar_obs::metrics::latency_record_us(names::SIM_SOLVE_BATCH_SIZE, vs.len() as u64);
         for nodes in &out {
-            xbar_obs::metrics::histogram_record(
+            xbar_obs::metrics::latency_record_us(
                 names::SIM_SOLVE_BATCH_SWEEPS,
-                nodes.stats.iterations as f64,
-                BATCH_SWEEP_BOUNDS,
+                nodes.stats.iterations as u64,
             );
         }
         Ok(out)
@@ -919,12 +914,6 @@ impl NonIdealSolver {
 /// AVX2 registers (or one AVX-512), enough for the autovectorizer to emit
 /// full-width code while the remainder loop stays short.
 pub const LANES: usize = 8;
-
-/// Bucket bounds for the `sim/solve_batch_size` histogram.
-const BATCH_SIZE_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
-
-/// Bucket bounds for the `sim/solve_batch_sweeps` per-element histogram.
-const BATCH_SWEEP_BOUNDS: &[f64] = &[2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0];
 
 /// `x[k] /= d[k]` in lane chunks.
 #[inline(always)]

@@ -20,17 +20,6 @@ use xbar_linalg::{Result, SolveError, SolveStats};
 use xbar_obs::names;
 use xbar_tensor::Tensor;
 
-/// Bucket bounds (µs) for the per-tile circuit-solve latency histogram.
-const TILE_SOLVE_US_BOUNDS: &[f64] = &[100.0, 300.0, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6];
-
-/// Bucket bounds for the per-tile relaxation-sweep histogram (both arrays
-/// summed; the default cap is 500 per array).
-const TILE_SWEEP_BOUNDS: &[f64] = &[2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0];
-
-/// Bucket bounds for the per-column NF histogram (NF is a relative current
-/// loss, almost always well inside `[0, 1]`).
-const NF_BOUNDS: &[f64] = &[0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0];
-
 /// Result of simulating one tile.
 #[derive(Debug, Clone)]
 pub struct TileOutcome {
@@ -304,15 +293,13 @@ fn simulate_tile_in(
         solve_array(cache, &solver, &pair.pos, &v, warm.map(|w| w.pos.warm()))?;
     let (neg_solve, neg_nodes, neg_fallback) =
         solve_array(cache, &solver, &pair.neg, &v, warm.map(|w| w.neg.warm()))?;
-    let solve_us = solve_start.elapsed().as_secs_f64() * 1e6;
+    // Rounded, not truncated: a cache-hit solve takes a few µs, and
+    // truncating it would bias the histogram's sum low.
+    let solve_us = (solve_start.elapsed().as_nanos() + 500) / 1000;
     let mut stats = pos_solve.stats;
     stats.accumulate(neg_solve.stats);
-    xbar_obs::metrics::histogram_record(names::SIM_TILE_SOLVE_US, solve_us, TILE_SOLVE_US_BOUNDS);
-    xbar_obs::metrics::histogram_record(
-        names::SIM_TILE_SWEEPS,
-        stats.iterations as f64,
-        TILE_SWEEP_BOUNDS,
-    );
+    xbar_obs::metrics::latency_record_us(names::SIM_TILE_SOLVE_US, solve_us as u64);
+    xbar_obs::metrics::latency_record_us(names::SIM_TILE_SWEEPS, stats.iterations as u64);
     let outcome_pair = DifferentialPair {
         pos: pos_solve.g_eff.clone(),
         neg: neg_solve.g_eff.clone(),
@@ -322,7 +309,8 @@ fn simulate_tile_in(
     let nf_pos_cols = column_nf(&pos_solve);
     let nf_neg_cols = column_nf(&neg_solve);
     for &nf in nf_pos_cols.iter().chain(&nf_neg_cols) {
-        xbar_obs::metrics::histogram_record(names::SIM_NF_COLUMN, nf, NF_BOUNDS);
+        // The cast saturates, so a rounding-level negative NF records as 0.
+        xbar_obs::metrics::latency_record_us(names::SIM_NF_COLUMN_PPM, (nf * 1e6).round() as u64);
     }
     let mean = |v: &[f64]| {
         if v.is_empty() {
@@ -550,6 +538,32 @@ mod tests {
         assert!(out.nf() > 0.0);
         // All-positive tile: every non-ideal weight below the programmed 1.0.
         assert!(out.weights.as_slice().iter().all(|&w| w < 1.0 && w > 0.0));
+    }
+
+    #[test]
+    fn tile_series_keep_the_exported_names_the_benchmark_scrapes() {
+        let params = CrossbarParams::with_size(8);
+        simulate_tile(
+            &rand_tile(8, 8, 5, 1.0),
+            MappingScale::PerTileMax,
+            1.0,
+            &params,
+            SolveMethod::LineRelaxation,
+            0,
+        )
+        .unwrap();
+        // The registry is process-global and shared with parallel tests,
+        // so only the presence of each series is checked.
+        let text = xbar_obs::metrics::to_text();
+        for series in [
+            "sim_tile_sweeps_bucket",
+            "sim_tile_sweeps_sum",
+            "sim_tile_sweeps_count",
+            "sim_tile_solve_us_sum",
+            "sim_nf_column_ppm_count",
+        ] {
+            assert!(text.contains(series), "{series} missing from:\n{text}");
+        }
     }
 
     #[test]
