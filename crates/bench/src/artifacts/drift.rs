@@ -15,8 +15,13 @@
 //! * `refresh` — rung 1, program-and-verify rewrite of drifted cells;
 //! * `remap` — rung 2, spare-column relocation of the worst columns only;
 //! * `ladder` — the serving policy: probe-accuracy drop picks the rung
-//!   (refresh → remap+refresh → full re-program), mirroring
-//!   `xbar_serve::lifecycle`.
+//!   (refresh → remap+refresh → full re-program) at serving's own drop
+//!   thresholds ([`REFRESH_DROP`], [`REMAP_DROP`], [`RELOAD_DROP`] from
+//!   `xbar_serve::lifecycle`), though it climbs a rung only on a drop
+//!   strictly above a threshold, where serving climbs at it. Its refresh
+//!   tolerance (`REFRESH_TOL`, 0.02) and remap threshold
+//!   (`REMAP_COL_DECAY`, 0.10) are the artifact's own and differ from
+//!   serving's (0.01 and 0.25).
 //!
 //! Probe accuracy is agreement with the pristine mapped model's predictions
 //! over a fixed probe subset of the test split — the same online-detectable
@@ -42,6 +47,7 @@ use xbar_nn::vgg::VggVariant;
 use xbar_nn::{Mode, Sequential};
 use xbar_obs::json::Json;
 use xbar_prune::PruneMethod;
+use xbar_serve::lifecycle::{REFRESH_DROP, RELOAD_DROP, REMAP_DROP};
 
 /// Crossbar size the drift sweep evaluates at (matches the fault sweep).
 pub const DRIFT_SIZE: usize = 16;
@@ -75,12 +81,6 @@ const REFRESH_TOL: f64 = 0.02;
 
 /// Rung-2 column threshold: columns past this mean decay are relocated.
 const REMAP_COL_DECAY: f64 = 0.10;
-
-/// Probe-accuracy drop thresholds of the `ladder` policy, mirroring the
-/// serving defaults (`xbar_serve::lifecycle::LifecycleConfig`).
-const LADDER_REFRESH_DROP: f64 = 0.02;
-const LADDER_REMAP_DROP: f64 = 0.10;
-const LADDER_RELOAD_DROP: f64 = 0.30;
 
 /// The pruning pair of the sweep: unpruned vs channel/filter-pruned.
 const METHODS: [PruneMethod; 2] = [PruneMethod::None, PruneMethod::ChannelFilter];
@@ -179,13 +179,13 @@ fn run_policy(
             "ladder" => {
                 let pre_probe = probe_agreement(&mut state.snapshot_model(), probes, reference)?;
                 let drop = 1.0 - pre_probe;
-                if drop > LADDER_RELOAD_DROP {
+                if drop > RELOAD_DROP {
                     (state.reprogram_all(), 0)
-                } else if drop > LADDER_REMAP_DROP {
+                } else if drop > REMAP_DROP {
                     salt += 1;
                     let cols = state.remap_worst_columns(REMAP_COL_DECAY, salt);
                     (state.refresh(REFRESH_TOL), cols)
-                } else if drop > LADDER_REFRESH_DROP {
+                } else if drop > REFRESH_DROP {
                     (state.refresh(REFRESH_TOL), 0)
                 } else {
                     (0, 0)

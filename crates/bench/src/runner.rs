@@ -280,10 +280,20 @@ pub fn relative_weight_error(original: &xbar_nn::Sequential, mapped: &xbar_nn::S
     (err_sq / norm_sq.max(f64::MIN_POSITIVE)).sqrt()
 }
 
+/// The mapping config of repetition `r` of [`crossbar_accuracy_avg`]: `cfg`
+/// with its device-variation seed moved by `1000·r`.
+pub fn rep_config(cfg: &MapConfig, r: usize) -> MapConfig {
+    MapConfig {
+        seed: cfg.seed.wrapping_add(1000 * r as u64),
+        ..*cfg
+    }
+}
+
 /// Like [`crossbar_accuracy`] but averaged over `reps` device-variation
 /// seeds (the circuit is deterministic; only the Gaussian programming
-/// variation changes between repetitions). Returns the mean accuracy and the
-/// last repetition's report (NF statistics barely vary between seeds).
+/// variation changes between repetitions, see [`rep_config`]). Returns the
+/// mean accuracy and the last repetition's report (NF statistics barely
+/// vary between seeds).
 ///
 /// # Panics
 ///
@@ -298,9 +308,7 @@ pub fn crossbar_accuracy_avg(
     let mut total = 0.0f64;
     let mut last_report = None;
     for r in 0..reps {
-        let mut rep_cfg = *cfg;
-        rep_cfg.seed = cfg.seed.wrapping_add(1000 * r as u64);
-        let (acc, report) = crossbar_accuracy(tm, data, &rep_cfg);
+        let (acc, report) = crossbar_accuracy(tm, data, &rep_config(cfg, r));
         total += acc;
         last_report = Some(report);
     }

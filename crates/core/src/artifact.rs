@@ -135,7 +135,7 @@ pub struct ArtifactMeta {
     pub software_accuracy: Option<f64>,
     /// Non-ideal (mapped) test accuracy, if measured.
     pub crossbar_accuracy: Option<f64>,
-    /// Stuck devices found by the read-verify pass.
+    /// Stuck devices located while programming.
     pub stuck_cells: usize,
     /// Faulty columns remapped onto spare columns.
     pub repaired_columns: usize,

@@ -10,9 +10,11 @@
 //! four circuit solves per tile per input.
 //!
 //! This is orders of magnitude slower than the folded model (a circuit
-//! solve per tile *per input*), so it is a validation and research tool,
-//! not an inference path: ablation A6 shows the folded model stays within
-//! 1 % of it.
+//! solve per tile *per input*), so it is an oracle, not an inference path:
+//! the `folded_model_tracks_exact_inference` test compares the mapping
+//! pipeline's folded weights against it. Ablation A6 in `xbar-bench` makes
+//! the same comparison through [`NonIdealSolver::column_currents`], not
+//! through this module.
 
 use crate::partition::partition;
 use crate::pipeline::{MapConfig, MapError};
@@ -103,8 +105,8 @@ pub fn exact_matmul(weights: &Tensor, x: &Tensor, cfg: &MapConfig) -> Result<Ten
                 }
             }
         }
-        let i_pos = xbar_sim::solve_currents_batch(&solver, &pair.pos, &phase_vs)?;
-        let i_neg = xbar_sim::solve_currents_batch(&solver, &pair.neg, &phase_vs)?;
+        let i_pos = solver.column_currents_batch(&pair.pos, &phase_vs)?;
+        let i_neg = solver.column_currents_batch(&pair.neg, &phase_vs)?;
         // Per-sample f64 accumulators keep the fold order of the
         // one-solve-at-a-time path: both phases sum in f64, then one f32
         // round-trip per output cell.

@@ -172,10 +172,8 @@ pub struct LayerReport {
     /// Tiles whose first solve attempt did not converge (rescued by the
     /// extended-sweep fallback in `xbar-sim`).
     pub non_converged: usize,
-    /// Stuck devices reported by read-verify across this layer's tiles.
+    /// Stuck devices located while programming this layer's tiles.
     pub stuck_cells: usize,
-    /// Cell re-writes issued by the program-and-verify retry loop.
-    pub reprogrammed_cells: usize,
     /// Faulty columns remapped onto spares.
     pub repaired_columns: usize,
     /// Stuck cells whose contribution was digitally corrected.
@@ -224,14 +222,9 @@ impl MapReport {
         self.layers.iter().map(|l| l.non_converged).sum()
     }
 
-    /// Total stuck devices found by read-verify.
+    /// Total stuck devices located while programming.
     pub fn stuck_cells(&self) -> usize {
         self.layers.iter().map(|l| l.stuck_cells).sum()
-    }
-
-    /// Total cell re-writes issued by program-and-verify retries.
-    pub fn reprogrammed_cells(&self) -> usize {
-        self.layers.iter().map(|l| l.reprogrammed_cells).sum()
     }
 
     /// Total faulty columns remapped onto spares.
@@ -356,7 +349,6 @@ pub fn map_to_crossbars(
             max_residual: 0.0,
             non_converged: 0,
             stuck_cells: 0,
-            reprogrammed_cells: 0,
             repaired_columns: 0,
             corrected_cells: 0,
             degraded_tiles: 0,
@@ -376,7 +368,6 @@ pub fn map_to_crossbars(
                 layer_report.max_residual = layer_report.max_residual.max(outcome.stats.residual);
                 layer_report.non_converged += usize::from(outcome.fallback);
                 layer_report.stuck_cells += outcome.fault_report.stuck_count();
-                layer_report.reprogrammed_cells += outcome.fault_report.reprogrammed;
                 if let Some(repair) = &mapped_tile.repair {
                     layer_report.repaired_columns += repair.remapped.len();
                     layer_report.corrected_cells += repair.corrected_cells;
@@ -804,20 +795,6 @@ mod tests {
             damage(&noisy),
             damage(&plain_model)
         );
-    }
-
-    #[test]
-    fn program_and_verify_counts_flow_into_the_report() {
-        let model = tiny_model();
-        let mut cfg = small_cfg();
-        cfg.params.sigma_variation = 0.2;
-        cfg.params.program.max_retries = 3;
-        let (_, report) = map_to_crossbars(&model, &cfg).unwrap();
-        assert!(
-            report.reprogrammed_cells() > 0,
-            "0.2 sigma must trip the verify loop somewhere"
-        );
-        assert_eq!(report.stuck_cells(), 0);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! non-idealities; stuck-at device faults are the extreme case — a single
 //! shorted cell can dominate a column current. Real deployments mitigate
 //! this structurally, and this module implements the two standard schemes on
-//! top of the program-and-verify reports from `xbar-sim`:
+//! top of the per-tile fault reports from `xbar-sim`:
 //!
 //! * **Spare-column remap** — `k` physical columns per tile are reserved at
-//!   partition time (the panel is cut into `cols − k`-wide tiles). After the
-//!   read-verify pass localises the faulty columns, the worst offenders are
+//!   partition time (the panel is cut into `cols − k`-wide tiles). Once
+//!   programming has localised the faulty columns, the worst offenders are
 //!   swapped onto the cleanest spares (a column permutation, the same
 //!   machinery as the R rearrangement) and the tile is re-programmed with
 //!   the *same* physical seed: the devices do not move, the weights do.

@@ -9,7 +9,8 @@
 //!
 //! Every distribution is a [`LogHistogram`] of non-negative integers
 //! (whole `u64` range, ~3% relative error, no bounds to choose), recorded
-//! through [`latency_record_us`]. A series whose values are fractional
+//! through [`latency_record_us`] or, many samples under one lock,
+//! [`latency_record_all`]. A series whose values are fractional
 //! records them in a scaled integer unit that its name carries
 //! (`sim/nf_column_ppm`).
 
@@ -31,35 +32,53 @@ fn registry() -> &'static Mutex<Registry> {
     REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
 }
 
+// Each recorder looks its series up before inserting, so only a series'
+// first use allocates a key: `entry` would build a `String` on every
+// update, under the lock every recording thread shares.
+
 /// Adds `delta` to the named counter (creating it at zero).
 pub fn counter_add(name: &str, delta: u64) {
     names::assert_registered(name);
     let mut reg = registry().lock().expect("metrics registry poisoned");
-    *reg.counters.entry(name.to_string()).or_insert(0) += delta;
+    match reg.counters.get_mut(name) {
+        Some(c) => *c += delta,
+        None => {
+            reg.counters.insert(name.to_string(), delta);
+        }
+    }
 }
 
 /// Sets the named gauge to `value` (last write wins).
 pub fn gauge_set(name: &str, value: f64) {
     names::assert_registered(name);
     let mut reg = registry().lock().expect("metrics registry poisoned");
-    reg.gauges.insert(name.to_string(), value);
+    match reg.gauges.get_mut(name) {
+        Some(g) => *g = value,
+        None => {
+            reg.gauges.insert(name.to_string(), value);
+        }
+    }
 }
 
 /// Records one non-negative integer sample: µs, a count or ppm, as the
 /// series name says. The named histogram is created at default resolution
 /// on first use.
 pub fn latency_record_us(name: &str, value: u64) {
+    latency_record_all(name, [value]);
+}
+
+/// Records every sample of `values` into the named histogram under one
+/// registry lock, as [`latency_record_us`] would one at a time.
+pub fn latency_record_all(name: &str, values: impl IntoIterator<Item = u64>) {
     names::assert_registered(name);
     let mut reg = registry().lock().expect("metrics registry poisoned");
-    // Look up before inserting: the per-column NF path records hundreds of
-    // samples per tile, and `entry` would allocate a key for each.
-    match reg.histograms.get_mut(name) {
-        Some(h) => h.record(value),
-        None => {
-            let mut h = LogHistogram::default();
-            h.record(value);
-            reg.histograms.insert(name.to_string(), h);
-        }
+    let histograms = &mut reg.histograms;
+    let h = match histograms.get_mut(name) {
+        Some(h) => h,
+        None => histograms.entry(name.to_string()).or_default(),
+    };
+    for v in values {
+        h.record(v);
     }
 }
 
@@ -436,5 +455,20 @@ mod tests {
         assert_eq!(snap.gauges["test/reg/gauge"], 2.5);
         let h = &snap.histograms["test/reg/hist"];
         assert_eq!((h.count(), h.sum(), h.min(), h.max()), (2, 44, 4, 40));
+    }
+
+    #[test]
+    fn recording_all_at_once_equals_recording_one_at_a_time() {
+        let samples = [0u64, 1, 7, 7, 1_000, 41_983, u64::MAX];
+        for &v in &samples {
+            latency_record_us("test/record_all/singles", v);
+        }
+        latency_record_all("test/record_all/batch", samples);
+        let snap = snapshot();
+        assert_eq!(
+            snap.histograms["test/record_all/singles"],
+            snap.histograms["test/record_all/batch"]
+        );
+        assert_eq!(snap.histograms["test/record_all/batch"].count(), 7);
     }
 }

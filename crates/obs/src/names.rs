@@ -106,8 +106,6 @@ pub fn serve_request_us(endpoint: &'static str) -> String {
 
 // --- simulator -----------------------------------------------------------
 pub const SIM_STUCK_CELLS: &str = "sim/stuck_cells";
-pub const SIM_REPROGRAMMED_CELLS: &str = "sim/reprogrammed_cells";
-pub const SIM_PROGRAM_RETRIES: &str = "sim/program_retries";
 pub const SIM_TILE_SOLVE_US: &str = "sim/tile_solve_us";
 pub const SIM_TILE_SWEEPS: &str = "sim/tile_sweeps";
 pub const SIM_NF_COLUMN_PPM: &str = "sim/nf_column_ppm";
@@ -352,17 +350,7 @@ pub const REGISTRY: &[MetricDef] = &[
     MetricDef {
         name: SIM_STUCK_CELLS,
         kind: MetricKind::Counter,
-        help: "cells that never verified during programming",
-    },
-    MetricDef {
-        name: SIM_REPROGRAMMED_CELLS,
-        kind: MetricKind::Counter,
-        help: "cells rewritten by the program-and-verify loop",
-    },
-    MetricDef {
-        name: SIM_PROGRAM_RETRIES,
-        kind: MetricKind::Counter,
-        help: "program-and-verify retry rounds",
+        help: "stuck devices located while programming tiles",
     },
     MetricDef {
         name: SIM_TILE_SOLVE_US,

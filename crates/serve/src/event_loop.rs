@@ -518,10 +518,10 @@ impl EventLoop {
     /// Pulls available bytes into the connection's read buffer, then
     /// advances its state machine.
     fn read_ready(&mut self, token: u64) {
-        // Headroom above max_body covers the head and modest pipelining; a
-        // connection that outruns an unanswered request by this much is
-        // abusive, not unlucky.
-        let max_buf = self.ctx.cfg.max_body + (1 << 20);
+        // Headroom above the body limit covers the head and modest
+        // pipelining; a connection that outruns an unanswered request by
+        // this much is abusive, not unlucky.
+        let max_buf = server::MAX_BODY + (1 << 20);
         {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
@@ -577,7 +577,7 @@ impl EventLoop {
             {
                 break;
             }
-            match try_parse_request(&conn.read_buf, ctx.cfg.max_body) {
+            match try_parse_request(&conn.read_buf, server::MAX_BODY) {
                 Ok(None) => break,
                 Ok(Some((request, consumed))) => {
                     conn.read_buf.drain(..consumed);

@@ -11,14 +11,14 @@
 //! A [`DriftController`] models retention drift of the programmed
 //! conductances (`xbar_core::ModelDriftState`) and periodically re-simulates
 //! a small deterministic probe set against the pristine model's answers.
-//! When probe agreement drops past configured thresholds the controller
-//! climbs the mitigation ladder:
+//! When probe agreement drops past fixed thresholds the controller climbs
+//! the mitigation ladder:
 //!
 //! | rung | trigger (probe-accuracy drop) | action |
 //! |------|-------------------------------|--------|
-//! | 1    | ≥ `refresh_drop`              | program-and-verify refresh of drifted cells |
-//! | 2    | ≥ `remap_drop`                | spare-column remap of the worst columns, then refresh |
-//! | 3    | ≥ `reload_drop`               | full re-map (counts as a reload) |
+//! | 1    | ≥ [`REFRESH_DROP`]            | program-and-verify refresh of cells decayed past `REFRESH_TOLERANCE` |
+//! | 2    | ≥ [`REMAP_DROP`]              | spare-column remap of columns decayed past `REMAP_COLUMN_DECAY`, then refresh |
+//! | 3    | ≥ [`RELOAD_DROP`]             | full re-map (counts as a reload) |
 //!
 //! Every sweep republishes the post-mitigation snapshot through the slot, so
 //! classify traffic always sees the weights the drift state says the
@@ -39,6 +39,21 @@ use crate::batcher::{classify_batch, softmax, BatchQueue};
 /// Odd splitmix constant for deriving per-probe seeds.
 const PROBE_SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// Probe-accuracy drop that triggers rung 1 (refresh).
+pub const REFRESH_DROP: f64 = 0.02;
+
+/// Probe-accuracy drop that triggers rung 2 (spare-column remap).
+pub const REMAP_DROP: f64 = 0.10;
+
+/// Probe-accuracy drop that triggers rung 3 (full re-map / reload).
+pub const RELOAD_DROP: f64 = 0.30;
+
+/// Per-cell decay fraction above which rung 1 rewrites a cell.
+const REFRESH_TOLERANCE: f64 = 0.01;
+
+/// Per-column mean decay above which rung 2 remaps a column.
+const REMAP_COLUMN_DECAY: f64 = 0.25;
+
 /// Configuration of the drift lifecycle. `Default` disables it entirely
 /// (no controller, plain static serving).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,19 +67,6 @@ pub struct LifecycleConfig {
     pub tau_fast: f64,
     /// Slowest per-cell retention time constant (seconds).
     pub tau_slow: f64,
-    /// Probe-accuracy drop that triggers rung 1 (refresh).
-    pub refresh_drop: f64,
-    /// Probe-accuracy drop that triggers rung 2 (spare-column remap).
-    pub remap_drop: f64,
-    /// Probe-accuracy drop that triggers rung 3 (full re-map / reload).
-    pub reload_drop: f64,
-    /// Per-cell decay fraction above which rung 1 rewrites a cell.
-    pub refresh_tolerance: f64,
-    /// Per-column mean decay above which rung 2 remaps a column.
-    pub remap_column_decay: f64,
-    /// Extra seed folded into the artifact's mapping seed for the per-device
-    /// retention constants.
-    pub seed: u64,
     /// Enables the test-only `POST /admin/advance-time` endpoint that
     /// fast-forwards the drift clock (hidden — 404 — when false).
     pub test_hooks: bool,
@@ -77,12 +79,6 @@ impl Default for LifecycleConfig {
             probe_count: 16,
             tau_fast: 3.6e3,
             tau_slow: 1.0e7,
-            refresh_drop: 0.02,
-            remap_drop: 0.10,
-            reload_drop: 0.30,
-            refresh_tolerance: 0.01,
-            remap_column_decay: 0.25,
-            seed: 0,
             test_hooks: false,
         }
     }
@@ -306,7 +302,9 @@ pub struct DriftController {
 
 impl DriftController {
     /// Programs the slot's (pristine) exact model onto drifting devices and
-    /// records the pristine probe answers as the health reference.
+    /// records the pristine probe answers as the health reference. The
+    /// artifact's mapping seed seeds both the per-device retention
+    /// constants and the probe inputs.
     ///
     /// # Errors
     ///
@@ -316,9 +314,8 @@ impl DriftController {
         let meta = slot.meta();
         let input_shape = meta.input_shape.clone();
         let drift_model = DriftModel::new(cfg.tau_fast, cfg.tau_slow);
-        let drift =
-            ModelDriftState::with_defaults(&slot.exact_model(), drift_model, cfg.seed ^ meta.seed)?;
-        let probes = probe_inputs(cfg.probe_count.max(1), &input_shape, cfg.seed ^ meta.seed);
+        let drift = ModelDriftState::with_defaults(&slot.exact_model(), drift_model, meta.seed)?;
+        let probes = probe_inputs(cfg.probe_count.max(1), &input_shape, meta.seed);
         let (classes, scores) = probe_forward(slot.exact_model(), &input_shape, &probes)?;
         metrics::gauge_set(names::SERVE_PROBE_ACCURACY, 1.0);
         metrics::gauge_set(names::SERVE_PROBE_DEVIATION, 0.0);
@@ -412,11 +409,11 @@ impl DriftController {
         // current-deviation signal that still moves, so the ladder climbs
         // on whichever is worse.
         let drop_frac = (1.0 - pre_accuracy).max(pre_deviation);
-        let rung: u8 = if drop_frac >= self.cfg.reload_drop {
+        let rung: u8 = if drop_frac >= RELOAD_DROP {
             3
-        } else if drop_frac >= self.cfg.remap_drop {
+        } else if drop_frac >= REMAP_DROP {
             2
-        } else if drop_frac >= self.cfg.refresh_drop {
+        } else if drop_frac >= REFRESH_DROP {
             1
         } else {
             0
@@ -424,14 +421,12 @@ impl DriftController {
         let mut refreshed = 0usize;
         let mut remapped = 0usize;
         match rung {
-            1 => refreshed = state.drift.refresh(self.cfg.refresh_tolerance),
+            1 => refreshed = state.drift.refresh(REFRESH_TOLERANCE),
             2 => {
                 state.remap_salt += 1;
                 let salt = state.remap_salt;
-                remapped = state
-                    .drift
-                    .remap_worst_columns(self.cfg.remap_column_decay, salt);
-                refreshed = state.drift.refresh(self.cfg.refresh_tolerance);
+                remapped = state.drift.remap_worst_columns(REMAP_COLUMN_DECAY, salt);
+                refreshed = state.drift.refresh(REFRESH_TOLERANCE);
             }
             3 => {
                 // Full re-map: every device rewritten — the on-device
@@ -454,7 +449,7 @@ impl DriftController {
         // decay the logits hide (saturated softmax, degenerate probe sets).
         let post_current_deviation = state
             .drift
-            .circuit_probe_deviation(self.cfg.probe_count.clamp(1, 8), self.cfg.seed)
+            .circuit_probe_deviation(self.cfg.probe_count.clamp(1, 8), 0)
             .unwrap_or(1.0);
         drop(state);
         self.slot.publish_exact(model);
@@ -514,11 +509,8 @@ impl DriftController {
                     .map_err(|e| format!("cannot load artifact {path}: {e}"))?;
                 let label = bundle.meta.label.clone();
                 let drift_model = DriftModel::new(self.cfg.tau_fast, self.cfg.tau_slow);
-                let drift = ModelDriftState::with_defaults(
-                    &bundle.model,
-                    drift_model,
-                    self.cfg.seed ^ bundle.meta.seed,
-                )?;
+                let drift =
+                    ModelDriftState::with_defaults(&bundle.model, drift_model, bundle.meta.seed)?;
                 let (classes, scores) =
                     probe_forward(bundle.model.clone(), &self.input_shape, &self.probes)?;
                 let version = self.slot.publish_bundle(bundle.model, bundle.meta)?;

@@ -59,11 +59,6 @@ pub mod signals {
         SIGNALLED.load(Ordering::SeqCst)
     }
 
-    /// Test hook: simulate a received signal.
-    pub fn raise() {
-        SIGNALLED.store(true, Ordering::SeqCst);
-    }
-
     #[cfg(unix)]
     pub fn install() {
         extern "C" fn on_signal(_signum: i32) {
@@ -85,6 +80,9 @@ pub mod signals {
     pub fn install() {}
 }
 
+/// Largest accepted request body (32 MiB); a larger one gets a `413`.
+pub(crate) const MAX_BODY: usize = 32 << 20;
+
 /// Server tunables. `Default` suits tests and the demo; the `serve` binary
 /// maps its flags onto these fields.
 #[derive(Debug, Clone)]
@@ -101,8 +99,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Per-request wait budget before the client gets a 504.
     pub request_timeout: Duration,
-    /// Largest accepted request body.
-    pub max_body: usize,
     /// Most connections the event loop will keep registered; accepts past
     /// this are turned away with a `503`.
     pub max_connections: usize,
@@ -133,7 +129,6 @@ impl Default for ServeConfig {
             max_batch: 32,
             queue_cap: 256,
             request_timeout: Duration::from_secs(10),
-            max_body: 32 << 20,
             max_connections: 4096,
             admission_limit: 0,
             trace_sample: 0,

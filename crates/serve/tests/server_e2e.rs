@@ -121,7 +121,7 @@ fn classify_healthz_metrics_and_graceful_shutdown() {
 
 #[test]
 fn deeply_nested_body_is_a_400_and_the_server_survives() {
-    // 1 MiB of `[` is far under max_body. Without the parser's depth cap
+    // 1 MiB of `[` is far under the 32 MiB body limit. Without the parser's depth cap
     // it recursed once per byte and overflowed the event-loop thread.
     let (server, addr) = start_server(ServeConfig::default());
     let mut client = connect(&addr);

@@ -11,7 +11,8 @@
 //! * the input voltage vector,
 //! * the circuit parameters that enter the nodal equations (`Rdriver`,
 //!   `Rwire_row`, `Rwire_col`, `Rsense`),
-//! * the solve method, tolerance and sweep cap.
+//! * the solve method and sweep cap (the convergence tolerance is a
+//!   constant of the solver).
 //!
 //! Two keys being equal therefore implies the solves are identical, so a
 //! hit can never change results — only skip work. Keys are 128-bit FNV-1a
@@ -139,12 +140,10 @@ fn fnv_eat(h: &mut u128, bytes: &[u8]) {
     }
 }
 
-/// 128-bit FNV-1a over everything that determines an array solve *except*
-/// the input-voltage vector: method, shape, circuit parameters, solver
-/// knobs, and all conductance bit patterns. A batch of solves through one
-/// conductance matrix shares this prefix and only pays per-element hashing
-/// for its voltage vectors ([`solve_keys_batch`]).
-pub(crate) fn solve_key_prefix(solver: &NonIdealSolver, g: &ConductanceMatrix) -> u128 {
+/// 128-bit FNV-1a over everything that determines an array solve: method,
+/// shape, circuit parameters, sweep cap, all conductance bit patterns and
+/// the input-voltage vector.
+pub(crate) fn solve_key(solver: &NonIdealSolver, g: &ConductanceMatrix, v: &[f64]) -> u128 {
     let mut h = FNV_OFFSET;
     let tag: u8 = match solver.method() {
         SolveMethod::DenseExact => 1,
@@ -157,38 +156,11 @@ pub(crate) fn solve_key_prefix(solver: &NonIdealSolver, g: &ConductanceMatrix) -
     for r in [p.r_driver, p.r_wire_row, p.r_wire_col, p.r_sense] {
         fnv_eat(&mut h, &r.to_bits().to_le_bytes());
     }
-    fnv_eat(&mut h, &solver.tolerance.to_bits().to_le_bytes());
     fnv_eat(&mut h, &(solver.max_sweeps as u64).to_le_bytes());
-    for &x in g.as_slice() {
+    for &x in g.as_slice().iter().chain(v) {
         fnv_eat(&mut h, &x.to_bits().to_le_bytes());
     }
     h
-}
-
-/// Continues a [`solve_key_prefix`] with one input-voltage vector.
-pub(crate) fn extend_key(prefix: u128, v: &[f64]) -> u128 {
-    let mut h = prefix;
-    for &x in v {
-        fnv_eat(&mut h, &x.to_bits().to_le_bytes());
-    }
-    h
-}
-
-/// 128-bit FNV-1a over everything that determines an array solve.
-pub(crate) fn solve_key(solver: &NonIdealSolver, g: &ConductanceMatrix, v: &[f64]) -> u128 {
-    extend_key(solve_key_prefix(solver, g), v)
-}
-
-/// Cache keys for a whole batch of solves through one conductance matrix:
-/// the conductance/parameter prefix is hashed once and extended per
-/// element.
-pub(crate) fn solve_keys_batch(
-    solver: &NonIdealSolver,
-    g: &ConductanceMatrix,
-    vs: &[Vec<f64>],
-) -> Vec<u128> {
-    let prefix = solve_key_prefix(solver, g);
-    vs.iter().map(|v| extend_key(prefix, v)).collect()
 }
 
 #[cfg(test)]
@@ -286,22 +258,5 @@ mod tests {
         assert!(store.entries.contains_key(&3) && store.entries.contains_key(&4));
         assert!(store.held_f64s <= MAX_CACHED_F64S);
         assert_eq!(store.held_f64s, charged(&store));
-    }
-
-    #[test]
-    fn batch_keys_match_per_element_keys() {
-        let s = solver(4);
-        let g = ConductanceMatrix::filled(4, 4, 1e-5);
-        let vs: Vec<Vec<f64>> = vec![
-            vec![0.25; 4],
-            vec![0.1, 0.2, 0.3, 0.4],
-            vec![0.25; 4], // duplicate of element 0 — identical key expected
-        ];
-        let batch = solve_keys_batch(&s, &g, &vs);
-        for (k, v) in batch.iter().zip(&vs) {
-            assert_eq!(*k, solve_key(&s, &g, v));
-        }
-        assert_eq!(batch[0], batch[2]);
-        assert_ne!(batch[0], batch[1]);
     }
 }

@@ -9,9 +9,9 @@
 //! same mechanism the paper identifies for parasitic non-idealities.
 //!
 //! Faults are drawn as a deterministic per-array *mask* ([`FaultModel::mask`])
-//! so the program-and-verify retry loop in [`crate::program`] can re-draw
-//! programming noise any number of times while the stuck devices stay put —
-//! retries never "heal" a broken filament.
+//! from a seed of their own, so [`crate::program`] can locate every stuck
+//! device and the same devices stay stuck whatever the programming-noise
+//! draw.
 
 use crate::conductance::ConductanceMatrix;
 use rand::rngs::StdRng;
@@ -107,8 +107,7 @@ impl FaultModel {
     /// Draws the deterministic stuck-device mask for one `rows × cols`
     /// array. Entry `r * cols + c` is `Some(kind)` when device `(r, c)` is
     /// stuck. The draw consumes exactly one RNG roll per device, so the mask
-    /// is a pure function of `(rates, shape, seed)` and is stable across
-    /// program-and-verify retries.
+    /// is a pure function of `(rates, shape, seed)`.
     ///
     /// Rates are assumed valid (see [`FaultModel::validate`], enforced at
     /// configuration time); out-of-range values simply saturate the rolls.

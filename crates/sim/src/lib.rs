@@ -52,7 +52,6 @@ mod cache;
 pub mod conductance;
 pub mod drift;
 pub mod faults;
-pub mod ideal;
 pub mod nf;
 pub mod params;
 pub mod program;
@@ -65,8 +64,6 @@ pub use conductance::{ConductanceMatrix, MappingScale};
 pub use drift::{DriftModel, ProgrammedPair};
 pub use faults::{FaultKind, FaultModel};
 pub use params::{CrossbarParams, InvalidParams};
-pub use program::{FaultReport, ProgramConfig, StuckCell};
+pub use program::{FaultReport, StuckCell};
 pub use solve::{NodeVoltages, NonIdealSolver, SolveMethod, Warm};
-pub use tile::{
-    simulate_tile, simulate_tile_seeded, solve_currents_batch, TileOutcome, TileSolveState,
-};
+pub use tile::{simulate_tile, simulate_tile_seeded, TileOutcome, TileSolveState};

@@ -51,13 +51,6 @@ impl NfAccumulator {
         self.count += 1;
     }
 
-    /// Adds every per-column NF of a solve.
-    pub fn push_solve(&mut self, solve: &EffectiveSolve) {
-        for nf in column_nf(solve) {
-            self.push(nf);
-        }
-    }
-
     /// Merges another accumulator (for parallel tile processing).
     pub fn merge(&mut self, other: &NfAccumulator) {
         self.sum += other.sum;

@@ -2,7 +2,6 @@
 
 use crate::drift::DriftModel;
 use crate::faults::FaultModel;
-use crate::program::ProgramConfig;
 
 /// A descriptive error for a physically inconsistent [`CrossbarParams`].
 #[derive(Debug, Clone, PartialEq)]
@@ -58,9 +57,6 @@ pub struct CrossbarParams {
     pub levels: u32,
     /// Stuck-at device fault rates (defaults to fault-free).
     pub faults: FaultModel,
-    /// Closed-loop program-and-verify write settings (defaults to open-loop
-    /// programming: zero retries).
-    pub program: ProgramConfig,
     /// Retention drift toward `G_off` over serving time (defaults to
     /// disabled: programmed conductances hold forever).
     pub drift: DriftModel,
@@ -81,7 +77,6 @@ impl Default for CrossbarParams {
             v_read: 0.25,
             levels: 0,
             faults: FaultModel::none(),
-            program: ProgramConfig::default(),
             drift: DriftModel::disabled(),
         }
     }
@@ -129,8 +124,7 @@ impl CrossbarParams {
     ///
     /// Returns a descriptive [`InvalidParams`] if any resistance is
     /// negative, `r_min >= r_max`, dimensions are zero, `v_read` is
-    /// non-positive, or the fault / program-and-verify sub-configs are
-    /// invalid.
+    /// non-positive, or the fault / drift sub-configs are invalid.
     pub fn validate(&self) -> std::result::Result<(), InvalidParams> {
         if self.rows == 0 || self.cols == 0 {
             return Err(InvalidParams(format!(
@@ -176,7 +170,6 @@ impl CrossbarParams {
         self.faults
             .validate()
             .map_err(|e| InvalidParams(e.to_string()))?;
-        self.program.validate().map_err(InvalidParams)?;
         self.drift.validate().map_err(InvalidParams)?;
         Ok(())
     }
@@ -246,14 +239,5 @@ mod tests {
         p.drift = DriftModel::new(100.0, 1.0);
         let err = p.validate().unwrap_err();
         assert!(err.to_string().contains("tau_fast"), "{err}");
-    }
-
-    #[test]
-    #[allow(clippy::field_reassign_with_default)]
-    fn invalid_program_config_is_rejected_through_params() {
-        let mut p = CrossbarParams::default();
-        p.program.sigma_backoff = 0.0;
-        let err = p.validate().unwrap_err();
-        assert!(err.to_string().contains("backoff"), "{err}");
     }
 }

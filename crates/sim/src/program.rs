@@ -1,28 +1,20 @@
-//! Closed-loop program-and-verify writes with per-tile fault reporting.
+//! Open-loop device programming with per-tile fault reporting.
 //!
-//! Real memristive deployments do not program a conductance once and hope:
-//! the periphery writes, reads the device back, and re-writes the cells that
-//! landed outside tolerance — a bounded *program-and-verify* loop. Devices
-//! that never converge are *stuck* (broken filament at `Gmin`, shorted cell
-//! at `Gmax`) and must be handled structurally (spare-column repair or
-//! digital correction in `xbar-core`) rather than by rewriting.
+//! Every device of an array is written once, as in the paper's RxNN-style
+//! evaluation: the mitigations (R, WCT) act on the weights, not on a write
+//! loop. Devices that are *stuck* (broken filament at `Gmin`, shorted cell
+//! at `Gmax`) ignore the write and must be handled structurally (spare-column
+//! repair or digital correction in `xbar-core`).
 //!
-//! This module implements that loop for one conductance array:
+//! Programming one conductance array:
 //!
 //! 1. program every device (Gaussian variation draw, [`apply_variation`]);
 //! 2. stuck devices snap to their rail regardless of the write
-//!    ([`FaultModel::mask`] — the mask is drawn once per array, so retries
-//!    never heal a broken device);
-//! 3. read-verify: compare realized vs target conductance against
-//!    `verify_tolerance × (Gmax − Gmin)`;
-//! 4. re-write only the failing, non-stuck cells with the programming noise
-//!    narrowed by `sigma_backoff` each attempt (closed-loop writes converge);
-//! 5. after `max_retries`, emit a [`FaultReport`]: stuck coordinates, the
-//!    per-column fault-attributable error, and retry/re-write counts.
-//!
-//! With `max_retries = 0` (the default) the numerics are bit-identical to
-//! open-loop programming — existing deterministic tests and calibrations are
-//! unaffected — while the report still localises every stuck device.
+//!    ([`FaultModel::mask`], drawn from its own seed so the same physical
+//!    devices stay stuck whenever the array is programmed);
+//! 3. locate every stuck device from the fault mask and emit a
+//!    [`FaultReport`]: stuck coordinates and the per-column
+//!    fault-attributable error.
 
 use crate::conductance::ConductanceMatrix;
 use crate::faults::{apply_mask, FaultKind, FaultModel};
@@ -37,56 +29,8 @@ pub enum ArrayKind {
     Neg,
 }
 
-/// Configuration of the program-and-verify write loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProgramConfig {
-    /// Maximum re-write attempts per array after the initial programming
-    /// pass. `0` (default) reproduces open-loop programming exactly.
-    pub max_retries: u32,
-    /// Read-verify acceptance band as a fraction of the conductance span
-    /// `Gmax − Gmin`: a cell passes when `|G − G_target| ≤ tol × span`.
-    pub verify_tolerance: f64,
-    /// Multiplier applied to the programming-noise sigma on each retry
-    /// (closed-loop writes narrow the error), in `(0, 1]`.
-    pub sigma_backoff: f64,
-}
-
-impl Default for ProgramConfig {
-    fn default() -> Self {
-        Self {
-            max_retries: 0,
-            verify_tolerance: 0.02,
-            sigma_backoff: 0.5,
-        }
-    }
-}
-
-impl ProgramConfig {
-    /// Validates the write-loop configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a descriptive message if the tolerance is not positive or the
-    /// backoff is outside `(0, 1]`.
-    pub fn validate(&self) -> std::result::Result<(), String> {
-        if self.verify_tolerance <= 0.0 {
-            return Err(format!(
-                "program-and-verify tolerance must be positive, got {}",
-                self.verify_tolerance
-            ));
-        }
-        if !(self.sigma_backoff > 0.0 && self.sigma_backoff <= 1.0) {
-            return Err(format!(
-                "program-and-verify sigma backoff must be in (0, 1], got {}",
-                self.sigma_backoff
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// One device that never verified: stuck at a rail, with its programming
-/// error in both conductance and (relative) weight space.
+/// One stuck device: pinned at a rail, with its programming error in both
+/// conductance and (relative) weight space.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StuckCell {
     /// Row (word line) inside the tile.
@@ -97,7 +41,7 @@ pub struct StuckCell {
     pub array: ArrayKind,
     /// What the device is stuck at.
     pub kind: FaultKind,
-    /// The target conductance the write loop was aiming for, S.
+    /// The target conductance the write was aiming for, S.
     pub target: f64,
     /// The realized (rail) conductance, S.
     pub actual: f64,
@@ -125,7 +69,7 @@ impl StuckCell {
     }
 }
 
-/// Per-tile verdict of the read-verify pass over both arrays.
+/// Per-tile verdict of programming both arrays: where the stuck devices are.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultReport {
     /// Stuck devices (both arrays) with their programming error.
@@ -134,10 +78,6 @@ pub struct FaultReport {
     /// severities landing in that column, across both arrays. This is the
     /// signal the spare-column repair ranks columns by.
     pub column_error: Vec<f64>,
-    /// Total cell re-writes issued by the verify loop (both arrays).
-    pub reprogrammed: usize,
-    /// Verify/re-write rounds actually used (max over both arrays).
-    pub retry_rounds: u32,
 }
 
 impl FaultReport {
@@ -189,8 +129,6 @@ impl FaultReport {
             self.column_error[cell.col] += cell.severity();
         }
         self.stuck_cells.extend(outcome.stuck);
-        self.reprogrammed += outcome.reprogrammed;
-        self.retry_rounds = self.retry_rounds.max(outcome.retry_rounds);
     }
 
     /// Builds the tile report from the two array outcomes.
@@ -202,27 +140,22 @@ impl FaultReport {
     }
 }
 
-/// Result of programming one array: the realized conductances plus what the
-/// verify loop learned.
+/// Result of programming one array: the realized conductances and the
+/// stuck devices among them.
 #[derive(Debug, Clone)]
 pub struct ArrayOutcome {
-    /// The realized conductances after variation, faults, and retries.
+    /// The realized conductances after variation and faults.
     pub g: ConductanceMatrix,
-    /// Devices that can never verify (stuck at a rail).
+    /// Devices stuck at a rail.
     pub stuck: Vec<StuckCell>,
-    /// Cell re-writes issued by the verify loop.
-    pub reprogrammed: usize,
-    /// Verify/re-write rounds actually used.
-    pub retry_rounds: u32,
 }
 
-/// Programs one array toward `targets` with the closed-loop verify retry
-/// scheme described in the module docs.
+/// Programs one array toward `targets` as described in the module docs:
+/// the variation draw, then the stuck mask.
 ///
-/// * `seed` drives the initial programming-noise draw (and, salted per
-///   attempt, the retry re-draws);
+/// * `seed` drives the programming-noise draw;
 /// * `fault_seed` drives the stuck-device mask — kept separate so the same
-///   physical devices stay stuck across re-programming attempts.
+///   physical devices stay stuck whatever the variation draw.
 #[allow(clippy::too_many_arguments)]
 pub fn program_array(
     targets: &ConductanceMatrix,
@@ -230,7 +163,6 @@ pub fn program_array(
     sigma: f64,
     g_min: f64,
     g_max: f64,
-    cfg: &ProgramConfig,
     seed: u64,
     fault_seed: u64,
     array: ArrayKind,
@@ -242,35 +174,6 @@ pub fn program_array(
     apply_mask(&mut g, &mask, g_min, g_max);
 
     let span = g_max - g_min;
-    let tol = cfg.verify_tolerance * span;
-    let mut reprogrammed = 0usize;
-    let mut retry_rounds = 0u32;
-    if cfg.max_retries > 0 && sigma > 0.0 {
-        for attempt in 1..=cfg.max_retries {
-            let failing: Vec<usize> = g
-                .as_slice()
-                .iter()
-                .zip(targets.as_slice())
-                .enumerate()
-                .filter(|&(i, (&got, &want))| mask[i].is_none() && (got - want).abs() > tol)
-                .map(|(i, _)| i)
-                .collect();
-            if failing.is_empty() {
-                break;
-            }
-            retry_rounds = attempt;
-            // Closed-loop re-write: each attempt narrows the noise.
-            let sigma_k = sigma * cfg.sigma_backoff.powi(attempt as i32);
-            let mut redraw = targets.clone();
-            let attempt_seed = seed ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            apply_variation(&mut redraw, sigma_k, g_min, attempt_seed);
-            for i in failing {
-                g.as_mut_slice()[i] = redraw.as_slice()[i];
-                reprogrammed += 1;
-            }
-        }
-    }
-
     let stuck = mask
         .iter()
         .enumerate()
@@ -290,12 +193,7 @@ pub fn program_array(
             })
         })
         .collect();
-    ArrayOutcome {
-        g,
-        stuck,
-        reprogrammed,
-        retry_rounds,
-    }
+    ArrayOutcome { g, stuck }
 }
 
 #[cfg(test)]
@@ -316,78 +214,18 @@ mod tests {
     const G_MAX: f64 = 1e-5;
 
     #[test]
-    fn zero_retries_match_open_loop_programming() {
+    fn programming_is_variation_then_stuck_mask() {
         let t = targets(8, 8);
         let fm = FaultModel {
             stuck_at_gmin: 0.1,
             stuck_at_gmax: 0.05,
         };
-        let out = program_array(
-            &t,
-            &fm,
-            0.1,
-            G_MIN,
-            G_MAX,
-            &ProgramConfig::default(),
-            7,
-            99,
-            ArrayKind::Pos,
-        );
-        // Reference: the historical open-loop sequence.
+        let out = program_array(&t, &fm, 0.1, G_MIN, G_MAX, 7, 99, ArrayKind::Pos);
+        // Reference: the variation draw, then the stuck mask.
         let mut expect = t.clone();
         apply_variation(&mut expect, 0.1, G_MIN, 7);
         fm.inject(&mut expect, G_MIN, G_MAX, 99);
         assert_eq!(out.g, expect);
-        assert_eq!(out.reprogrammed, 0);
-        assert_eq!(out.retry_rounds, 0);
-    }
-
-    #[test]
-    fn retries_pull_non_stuck_cells_into_tolerance() {
-        let t = targets(16, 16);
-        let cfg = ProgramConfig {
-            max_retries: 5,
-            verify_tolerance: 0.02,
-            sigma_backoff: 0.5,
-        };
-        let open = program_array(
-            &t,
-            &FaultModel::none(),
-            0.2,
-            G_MIN,
-            G_MAX,
-            &ProgramConfig::default(),
-            3,
-            0,
-            ArrayKind::Pos,
-        );
-        let closed = program_array(
-            &t,
-            &FaultModel::none(),
-            0.2,
-            G_MIN,
-            G_MAX,
-            &cfg,
-            3,
-            0,
-            ArrayKind::Pos,
-        );
-        let out_of_tol = |g: &ConductanceMatrix| {
-            let tol = cfg.verify_tolerance * (G_MAX - G_MIN);
-            g.as_slice()
-                .iter()
-                .zip(t.as_slice())
-                .filter(|(&got, &want)| (got - want).abs() > tol)
-                .count()
-        };
-        assert!(closed.reprogrammed > 0);
-        assert!(closed.retry_rounds >= 1);
-        assert!(
-            out_of_tol(&closed.g) < out_of_tol(&open.g),
-            "verify loop must reduce mis-programmed cells: {} vs {}",
-            out_of_tol(&closed.g),
-            out_of_tol(&open.g)
-        );
     }
 
     #[test]
@@ -397,11 +235,7 @@ mod tests {
             stuck_at_gmin: 0.15,
             stuck_at_gmax: 0.05,
         };
-        let cfg = ProgramConfig {
-            max_retries: 8,
-            ..ProgramConfig::default()
-        };
-        let out = program_array(&t, &fm, 0.1, G_MIN, G_MAX, &cfg, 11, 21, ArrayKind::Neg);
+        let out = program_array(&t, &fm, 0.1, G_MIN, G_MAX, 11, 21, ArrayKind::Neg);
         assert!(!out.stuck.is_empty());
         let mask = fm.mask(10, 10, 21);
         assert_eq!(
@@ -433,8 +267,6 @@ mod tests {
                 actual: G_MAX,
                 delta_rel: 1.0,
             }],
-            reprogrammed: 2,
-            retry_rounds: 1,
         };
         let neg = ArrayOutcome {
             g: ConductanceMatrix::filled(2, 3, 5e-6),
@@ -447,13 +279,9 @@ mod tests {
                 actual: G_MIN,
                 delta_rel: -0.5,
             }],
-            reprogrammed: 1,
-            retry_rounds: 3,
         };
         let report = FaultReport::from_arrays(3, pos, neg);
         assert_eq!(report.stuck_count(), 2);
-        assert_eq!(report.reprogrammed, 3);
-        assert_eq!(report.retry_rounds, 3);
         assert_eq!(report.column_error, vec![0.0, 1.0, 0.5]);
         assert_eq!(report.fault_score(), 1.0);
         assert_eq!(report.worst_columns(), vec![(1, 1.0), (2, 0.5)]);
@@ -484,7 +312,6 @@ mod tests {
             0.0,
             G_MIN,
             G_MAX,
-            &ProgramConfig::default(),
             0,
             0,
             ArrayKind::Pos,
@@ -492,20 +319,5 @@ mod tests {
         let report = FaultReport::from_arrays(4, out.clone(), out);
         assert!(report.is_clean());
         assert_eq!(report.fault_score(), 0.0);
-    }
-
-    #[test]
-    fn bad_config_is_rejected() {
-        let bad_tol = ProgramConfig {
-            verify_tolerance: 0.0,
-            ..ProgramConfig::default()
-        };
-        assert!(bad_tol.validate().unwrap_err().contains("tolerance"));
-        let bad_backoff = ProgramConfig {
-            sigma_backoff: 1.5,
-            ..ProgramConfig::default()
-        };
-        assert!(bad_backoff.validate().unwrap_err().contains("backoff"));
-        assert!(ProgramConfig::default().validate().is_ok());
     }
 }

@@ -48,6 +48,10 @@ use xbar_obs::names;
 /// Conductance used for a zero-resistance (ideal) parasitic element.
 const IDEAL_CONDUCTANCE: f64 = 1e9;
 
+/// Convergence tolerance of line relaxation: a sweep that moves no node by
+/// more than this fraction of the read voltage ends the solve.
+const TOLERANCE: f64 = 1e-9;
+
 fn g_of(r: f64) -> f64 {
     if r <= 0.0 {
         IDEAL_CONDUCTANCE
@@ -144,9 +148,6 @@ pub struct EffectiveSolve {
 pub struct NonIdealSolver {
     params: CrossbarParams,
     method: SolveMethod,
-    /// Convergence tolerance of line relaxation (max voltage delta relative
-    /// to read voltage).
-    pub tolerance: f64,
     /// Sweep cap for line relaxation.
     pub max_sweeps: usize,
 }
@@ -167,7 +168,6 @@ impl NonIdealSolver {
         Ok(Self {
             params,
             method,
-            tolerance: 1e-9,
             max_sweeps: 500,
         })
     }
@@ -620,7 +620,7 @@ impl NonIdealSolver {
         // sweep 1; factorising up front hits the identical pivot (the bands
         // never change between sweeps).
         let factors = LineFactors::new(g, p)?;
-        let tol = self.tolerance * p.v_read;
+        let tol = TOLERANCE * p.v_read;
         let gs = g.as_slice();
         let mut work = vec![0.0f64; rows * cols];
         let mut sweeps = 0usize;
@@ -720,7 +720,7 @@ impl NonIdealSolver {
             let i = k / cols;
             vrt[k * LANES..(k + 1) * LANES].copy_from_slice(&vt[i * LANES..(i + 1) * LANES]);
         }
-        let tol = self.tolerance * p.v_read;
+        let tol = TOLERANCE * p.v_read;
         let gs = g.as_slice();
         let mut md = [0.0f64; LANES];
         let mut out: Vec<Option<NodeVoltages>> = vec![None; nb];
@@ -816,7 +816,7 @@ impl NonIdealSolver {
         } else {
             None
         };
-        let tol = self.tolerance * p.v_read;
+        let tol = TOLERANCE * p.v_read;
         let mut sweeps = 0usize;
         // Line buffers reused across every line of every sweep: bands, the
         // tridiagonal solution, and its elimination scratch.

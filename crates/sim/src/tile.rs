@@ -15,7 +15,6 @@ use crate::params::CrossbarParams;
 use crate::program::{program_array, ArrayKind, FaultReport};
 use crate::quantize::quantize_conductances;
 use crate::solve::{EffectiveSolve, NodeVoltages, NonIdealSolver, SolveMethod, Warm};
-use std::collections::hash_map::{Entry, HashMap};
 use xbar_linalg::{Result, SolveError, SolveStats};
 use xbar_obs::names;
 use xbar_tensor::Tensor;
@@ -37,8 +36,7 @@ pub struct TileOutcome {
     pub stats: SolveStats,
     /// Whether either array needed the extended-sweep fallback retry.
     pub fallback: bool,
-    /// Read-verify verdict: stuck devices, per-column fault error, and
-    /// program-and-verify retry counts over both arrays.
+    /// Stuck devices and per-column fault error over both arrays.
     pub fault_report: FaultReport,
     /// The weight reference `w_ref` the tile was mapped with — needed to
     /// translate stuck-cell conductance errors back into weight space for
@@ -101,21 +99,21 @@ impl TileSolveState {
 }
 
 /// A tile's differential conductance pair after the full programming
-/// pipeline — quantization, closed-loop programming with write noise and
-/// stuck-at faults — ready for the circuit solve.
+/// pipeline — quantization, programming with write noise and stuck-at
+/// faults — ready for the circuit solve.
 struct PreparedTile {
     /// The programmed differential conductance pair.
     pair: DifferentialPair,
-    /// Read-verify verdict over both arrays.
+    /// Stuck devices over both arrays.
     fault_report: FaultReport,
     /// Fraction of devices (both arrays) within 1 % of `Gmin`.
     low_g_fraction: f64,
 }
 
 /// Programs one weight tile onto a differential crossbar pair without
-/// solving the circuit: weights → conductances, quantization, and the
-/// closed-loop program-and-verify pass with write noise and stuck-at
-/// faults — the state [`simulate_tile_seeded`] hands to the circuit solver.
+/// solving the circuit: weights → conductances, quantization, and
+/// programming with write noise and stuck-at faults — the state
+/// [`simulate_tile_seeded`] hands to the circuit solver.
 ///
 /// # Errors
 ///
@@ -147,16 +145,14 @@ fn prepare_tile_conductances(
     let g_max = params.g_max();
     quantize_conductances(&mut pair.pos, g_min, g_max, params.levels);
     quantize_conductances(&mut pair.neg, g_min, g_max, params.levels);
-    // Closed-loop programming: Gaussian write noise, stuck-at overrides, and
-    // the bounded read-verify retry loop; reports every device that can
-    // never verify.
+    // Gaussian write noise, then stuck-at overrides; reports every stuck
+    // device.
     let pos_programmed = program_array(
         &pair.pos,
         &params.faults,
         params.sigma_variation,
         g_min,
         g_max,
-        &params.program,
         seed,
         seed.wrapping_add(0xFA17_0001),
         ArrayKind::Pos,
@@ -167,7 +163,6 @@ fn prepare_tile_conductances(
         params.sigma_variation,
         g_min,
         g_max,
-        &params.program,
         seed.wrapping_add(0x5DEECE66D),
         seed.wrapping_add(0xFA17_0002),
         ArrayKind::Neg,
@@ -175,16 +170,8 @@ fn prepare_tile_conductances(
     pair.pos = pos_programmed.g.clone();
     pair.neg = neg_programmed.g.clone();
     let fault_report = FaultReport::from_arrays(tile.cols(), pos_programmed, neg_programmed);
-    if !fault_report.is_clean() || fault_report.reprogrammed > 0 {
+    if !fault_report.is_clean() {
         xbar_obs::metrics::counter_add(names::SIM_STUCK_CELLS, fault_report.stuck_count() as u64);
-        xbar_obs::metrics::counter_add(
-            names::SIM_REPROGRAMMED_CELLS,
-            fault_report.reprogrammed as u64,
-        );
-        xbar_obs::metrics::counter_add(
-            names::SIM_PROGRAM_RETRIES,
-            fault_report.retry_rounds as u64,
-        );
     }
     Ok(PreparedTile {
         pair,
@@ -308,10 +295,15 @@ fn simulate_tile_in(
     let weights = conductances_to_weights(&outcome_pair, params);
     let nf_pos_cols = column_nf(&pos_solve);
     let nf_neg_cols = column_nf(&neg_solve);
-    for &nf in nf_pos_cols.iter().chain(&nf_neg_cols) {
-        // The cast saturates, so a rounding-level negative NF records as 0.
-        xbar_obs::metrics::latency_record_us(names::SIM_NF_COLUMN_PPM, (nf * 1e6).round() as u64);
-    }
+    // One registry lock for the whole tile. The cast saturates, so a
+    // rounding-level negative NF records as 0.
+    xbar_obs::metrics::latency_record_all(
+        names::SIM_NF_COLUMN_PPM,
+        nf_pos_cols
+            .iter()
+            .chain(&nf_neg_cols)
+            .map(|&nf| (nf * 1e6).round() as u64),
+    );
     let mean = |v: &[f64]| {
         if v.is_empty() {
             0.0
@@ -402,89 +394,6 @@ fn resume_fallback(
         });
     }
     Ok((resumed, true))
-}
-
-/// Batched column currents through one programmed conductance array,
-/// routed through the process-wide solve cache: the whole batch shares one
-/// key prefix (the conductances are hashed once), cache hits replay their
-/// stored cold solves, and the misses are deduplicated by key — identical
-/// input vectors solve **once** and insert **once** — before solving
-/// together through [`NonIdealSolver::solve_nodes_batch`].
-///
-/// Elements that miss the base sweep budget get the same 4× resume
-/// fallback as [`simulate_tile_seeded`]'s per-array solves (abandoned
-/// sweeps counted once), so results are bit-identical to solving each
-/// element alone through this module.
-///
-/// # Errors
-///
-/// * [`SolveError::Dimension`] on a length mismatch or negative voltage in
-///   any element;
-/// * [`SolveError::NoConvergence`] if any element still fails after the
-///   fallback.
-pub fn solve_currents_batch(
-    solver: &NonIdealSolver,
-    g: &ConductanceMatrix,
-    vs: &[Vec<f64>],
-) -> Result<Vec<Vec<f64>>> {
-    solve_currents_batch_in(SolveCache::shared(), solver, g, vs)
-}
-
-/// [`solve_currents_batch`] through the given solve cache.
-fn solve_currents_batch_in(
-    cache: &SolveCache,
-    solver: &NonIdealSolver,
-    g: &ConductanceMatrix,
-    vs: &[Vec<f64>],
-) -> Result<Vec<Vec<f64>>> {
-    let rows = g.rows();
-    for (idx, v) in vs.iter().enumerate() {
-        if v.len() != rows {
-            return Err(SolveError::Dimension(format!(
-                "crossbar has {rows} rows but batch element {idx} carries {} input voltages",
-                v.len()
-            )));
-        }
-        if v.iter().any(|&x| x < 0.0) {
-            return Err(SolveError::Dimension(format!(
-                "column currents require non-negative input voltages (batch element {idx})"
-            )));
-        }
-    }
-    let keys = cache::solve_keys_batch(solver, g, vs);
-    let mut results: Vec<Option<Vec<f64>>> = vec![None; vs.len()];
-    // Misses grouped by key: identical input vectors solve and insert once.
-    let mut by_key: HashMap<u128, usize> = HashMap::new();
-    let mut misses: Vec<(u128, Vec<usize>)> = Vec::new();
-    for (idx, &key) in keys.iter().enumerate() {
-        if let Some(hit) = cache.lookup(key) {
-            xbar_obs::metrics::counter_add(names::SIM_SOLVE_CACHE_HITS, 1);
-            results[idx] = Some(solver.currents_of(g, &hit.nodes)?);
-            continue;
-        }
-        xbar_obs::metrics::counter_add(names::SIM_SOLVE_CACHE_MISSES, 1);
-        match by_key.entry(key) {
-            Entry::Occupied(slot) => misses[*slot.get()].1.push(idx),
-            Entry::Vacant(slot) => {
-                slot.insert(misses.len());
-                misses.push((key, vec![idx]));
-            }
-        }
-    }
-    let cold_vs: Vec<Vec<f64>> = misses.iter().map(|(_, m)| vs[m[0]].clone()).collect();
-    let solved = solver.solve_nodes_batch(g, &cold_vs)?;
-    for ((first, v), (key, members)) in solved.into_iter().zip(&cold_vs).zip(misses) {
-        let (nodes, fallback) = resume_fallback(solver, g, v, first)?;
-        let currents = solver.currents_of(g, &nodes)?;
-        cache.insert(key, nodes, fallback);
-        for idx in members {
-            results[idx] = Some(currents.clone());
-        }
-    }
-    Ok(results
-        .into_iter()
-        .map(|r| r.expect("every batch element resolved"))
-        .collect())
 }
 
 #[cfg(test)]
@@ -738,41 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn program_and_verify_tightens_round_trip() {
-        let tile = rand_tile(16, 16, 8, 1.0);
-        let mut open = CrossbarParams::with_size(16).ideal();
-        open.sigma_variation = 0.2;
-        let mut closed = open;
-        closed.program.max_retries = 4;
-        let mean_err = |params: &CrossbarParams| {
-            let out = simulate_tile(
-                &tile,
-                MappingScale::PerTileMax,
-                1.0,
-                params,
-                SolveMethod::LineRelaxation,
-                5,
-            )
-            .unwrap();
-            let err: f32 = tile
-                .as_slice()
-                .iter()
-                .zip(out.weights.as_slice())
-                .map(|(a, b)| (a - b).abs())
-                .sum();
-            (err / tile.as_slice().len() as f32, out)
-        };
-        let (open_err, open_out) = mean_err(&open);
-        let (closed_err, closed_out) = mean_err(&closed);
-        assert_eq!(open_out.fault_report.reprogrammed, 0);
-        assert!(closed_out.fault_report.reprogrammed > 0);
-        assert!(
-            closed_err < open_err,
-            "verify retries must tighten programming: {closed_err} vs {open_err}"
-        );
-    }
-
-    #[test]
     fn cached_and_warm_started_tiles_match_cold_bitwise() {
         let params = CrossbarParams::with_size(16);
         let tile = rand_tile(16, 16, 42, 1.0);
@@ -922,46 +796,12 @@ mod tests {
         g
     }
 
-    #[test]
-    fn batched_tile_currents_match_singles_and_insert_once() {
-        let n = 10usize;
-        let params = CrossbarParams::with_size(16);
-        let g = rand_g(n, 77, &params);
-        let solver = NonIdealSolver::new(params, SolveMethod::LineRelaxation);
-        let uniform = vec![params.v_read; n];
-        let ramp: Vec<f64> = (0..n)
-            .map(|i| params.v_read * i as f64 / n as f64)
-            .collect();
-        let sparse: Vec<f64> = (0..n)
-            .map(|i| if i % 2 == 0 { params.v_read } else { 0.0 })
-            .collect();
-        // Four elements, three unique: the duplicate must not double-insert.
-        let vs = vec![uniform.clone(), ramp.clone(), uniform.clone(), sparse];
-        let singles: Vec<Vec<f64>> = vs
-            .iter()
-            .map(|v| solver.column_currents(&g, v).unwrap())
-            .collect();
-        let cache = SolveCache::default();
-        let batch = solve_currents_batch_in(&cache, &solver, &g, &vs).unwrap();
-        assert_eq!(batch, singles, "cold batch vs singles");
-        assert_eq!(
-            cache.len(),
-            3,
-            "one insert per unique vector, duplicates share"
-        );
-        // Replay entirely from the cache: still equal, and no further
-        // inserts.
-        let again = solve_currents_batch_in(&cache, &solver, &g, &vs).unwrap();
-        assert_eq!(again, singles, "cached batch vs singles");
-        assert_eq!(cache.len(), 3);
-    }
-
     /// Property sweep for the batched solver: over tile edges that are not
     /// multiples of the 8-wide lane chunk and batch sizes {1, 2, 7, 32},
     /// with stuck-at faults injected and the conductances routed through
     /// the drift layer at `dt = 0` (a bit-identical passthrough by
     /// contract), the batched currents must equal the single-vector path's
-    /// bit for bit — cold on an empty cache and on cache replay.
+    /// bit for bit.
     #[test]
     fn property_batched_currents_bitwise_match_singles() {
         use crate::drift::{DriftModel, ProgrammedPair};
@@ -1000,16 +840,10 @@ mod tests {
                     .iter()
                     .map(|v| solver.column_currents(&g, v).unwrap())
                     .collect();
-                let cache = SolveCache::default();
-                let cold = solve_currents_batch_in(&cache, &solver, &g, &vs).unwrap();
+                let batch = solver.column_currents_batch(&g, &vs).unwrap();
                 assert!(
-                    bits_eq(&cold, &singles),
-                    "n={n} nb={nb}: cold batch diverged from singles"
-                );
-                let replay = solve_currents_batch_in(&cache, &solver, &g, &vs).unwrap();
-                assert!(
-                    bits_eq(&replay, &singles),
-                    "n={n} nb={nb}: cache replay diverged from singles"
+                    bits_eq(&batch, &singles),
+                    "n={n} nb={nb}: batch diverged from singles"
                 );
             }
         }

@@ -139,9 +139,8 @@ proptest! {
 
     #[test]
     fn zero_dt_is_bit_identical_to_undrifted(tile in weight_tile(), seed in 0u64..1000) {
-        // Mirrors the max_retries=0 contract from program-and-verify: the
-        // degenerate setting must be indistinguishable from the feature
-        // being absent, down to the bit.
+        // The degenerate setting must be indistinguishable from the
+        // feature being absent, down to the bit.
         let params = CrossbarParams::with_size(tile.rows());
         let model = DriftModel::new(10.0, 1e5);
         let pair = weights_to_conductances(&tile, MappingScale::PerTileMax, 1.0, &params);
